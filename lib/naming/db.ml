@@ -18,6 +18,9 @@ let pp_entry ppf e =
    their order equals [Gid.compare] order, so listings are unchanged. *)
 module Imap = Map.Make (Int)
 
+(* [entries] holds live entries only: [insert] refuses a superseded view
+   and every growth of a superseded set drops the entries it kills.  No
+   reader needs to filter. *)
 type t = {
   mutable entries : entry list Imap.t; (* Gid.code of lwg -> live entries *)
   mutable superseded : View_id.Set.t Imap.t;
@@ -28,18 +31,18 @@ let create () = { entries = Imap.empty; superseded = Imap.empty }
 let superseded_of t lwg =
   match Imap.find_opt (Gid.code lwg) t.superseded with Some s -> s | None -> View_id.Set.empty
 
-let live_of t lwg =
-  let dead = superseded_of t lwg in
-  let all = match Imap.find_opt (Gid.code lwg) t.entries with Some es -> es | None -> [] in
-  List.filter (fun e -> not (View_id.Set.mem e.lwg_view dead)) all
+let live_of t lwg = match Imap.find_opt (Gid.code lwg) t.entries with Some es -> es | None -> []
+
+(* drop retired entries eagerly; the superseded set remembers them *)
+let drop_dead t code dead =
+  let keep entries = List.filter (fun e -> not (View_id.Set.mem e.lwg_view dead)) entries in
+  t.entries <- Imap.update code (Option.map keep) t.entries
 
 let retire t lwg views =
   if not (List.is_empty views) then begin
     let dead = List.fold_left (fun acc v -> View_id.Set.add v acc) (superseded_of t lwg) views in
     t.superseded <- Imap.add (Gid.code lwg) dead t.superseded;
-    (* drop retired entries eagerly; the superseded set remembers them *)
-    let keep entries = List.filter (fun e -> not (View_id.Set.mem e.lwg_view dead)) entries in
-    t.entries <- Imap.update (Gid.code lwg) (Option.map keep) t.entries
+    drop_dead t (Gid.code lwg) dead
   end
 
 (* Two replicas can transiently hold different mappings for the same
@@ -56,7 +59,7 @@ let entry_order a b =
 
 let insert ~resolve t entry =
   if not (View_id.Set.mem entry.lwg_view (superseded_of t entry.lwg)) then begin
-    let current = match Imap.find_opt (Gid.code entry.lwg) t.entries with Some es -> es | None -> [] in
+    let current = live_of t entry.lwg in
     let entry =
       if resolve then
         match List.find_opt (fun e -> View_id.equal e.lwg_view entry.lwg_view) current with
@@ -94,32 +97,38 @@ let merge t other =
   (* union of superseded knowledge first, so dead entries never revive *)
   t.superseded <-
     Imap.union (fun _ a b -> Some (View_id.Set.union a b)) t.superseded other.superseded;
+  (* only an LWG whose superseded set grew can hold newly dead entries *)
+  Imap.iter
+    (fun code theirs ->
+      let ours = match Imap.find_opt code before_superseded with Some s -> s | None -> View_id.Set.empty in
+      if not (View_id.Set.subset theirs ours) then drop_dead t code (Imap.find code t.superseded))
+    other.superseded;
   Imap.iter (fun _ entries -> List.iter (fun e -> insert ~resolve:true t e) entries) other.entries;
-  (* re-apply GC with the merged superseded sets *)
-  Imap.iter (fun code dead -> retire t (Gid.of_code code) (View_id.Set.elements dead)) t.superseded;
   not (Imap.equal (List.equal entry_equal) before_entries t.entries)
   || not (Imap.equal View_id.Set.equal before_superseded t.superseded)
 
-let conflicting t lwg =
-  match read t lwg with
+(* The entries name more than one HWG: which one the others are
+   compared against does not matter, so no sort is needed. *)
+let inconsistent = function
   | [] | [ _ ] -> false
   | first :: rest -> List.exists (fun e -> not (Gid.equal e.hwg first.hwg)) rest
 
-let lwgs t =
-  Imap.fold
-    (fun code _ acc ->
-      let lwg = Gid.of_code code in
-      if not (List.is_empty (live_of t lwg)) then lwg :: acc else acc)
-    t.entries []
-  |> List.sort Gid.compare
+let conflicting t lwg = inconsistent (live_of t lwg)
 
-let conflicts t = List.filter (conflicting t) (lwgs t)
+(* Imap folds in code order = Gid.compare order; prepending reverses it *)
+let lwgs t =
+  Imap.fold (fun code entries acc -> if List.is_empty entries then acc else Gid.of_code code :: acc) t.entries []
+  |> List.rev
+
+let conflicts t =
+  Imap.fold (fun code entries acc -> if inconsistent entries then Gid.of_code code :: acc else acc) t.entries []
+  |> List.rev
 
 let is_superseded t ~lwg view_id = View_id.Set.mem view_id (superseded_of t lwg)
 
 let snapshot t = { entries = t.entries; superseded = t.superseded }
 
-let size t = Imap.fold (fun code _ acc -> acc + List.length (live_of t (Gid.of_code code))) t.entries 0
+let size t = Imap.fold (fun _ entries acc -> acc + List.length entries) t.entries 0
 
 let pp ppf t =
   List.iter

@@ -140,7 +140,11 @@ type gstate = {
   stable_floor : int array; (* per sender: all members delivered below this *)
   peer_vec : int array array; (* member -> delivery vector, current view; [||] until first heard *)
   peer_seen : bool array; (* member reported a vector in the current view *)
-  mutable frozen : (View_id.t * app_msg) list; (* reversed arrival order *)
+  (* Messages that arrived too early to deliver, reversed arrival order.
+     Only views this node can still install are kept (see [installable]),
+     so the list stays as short as the traffic of one view change. *)
+  mutable frozen : (View_id.t * app_msg) list;
+  mutable frozen_count : int; (* [List.length frozen] *)
   mutable outbox : Payload.t list; (* reversed *)
   to_pending : (int * Payload.t) Deque.t; (* oldest first *)
   mutable joiners : Node_id.Set.t;
@@ -283,24 +287,48 @@ let deliverable g msg =
 (* Deliver any frozen messages for the current view that are now in
    order. *)
 let rec drain_frozen t g =
-  match g.view with
-  | None -> ()
-  | Some view ->
+  match (g.frozen, g.view) with
+  | [], _ | _, None -> ()
+  | _ :: _, Some view ->
       let ready, rest =
         List.partition (fun (vid, msg) -> View_id.equal vid view.View.id && deliverable g msg) g.frozen
       in
       if not (List.is_empty ready) then begin
         g.frozen <- rest;
+        g.frozen_count <- g.frozen_count - List.length ready;
         let ready = List.sort (fun (_, a) (_, b) -> Int.compare a.seq b.seq) ready in
         List.iter (fun (_, msg) -> deliver_now t g msg ~view_id:view.View.id) ready;
         drain_frozen t g
       end
 
+(* Can this node still install [vid]?  Every view a node installs is
+   minted above the previous view of each member that flushed into it,
+   so after installing [view] the node only ever installs views with a
+   higher seq: a message tagged with any other view can never be
+   delivered.  Before the first install nothing is known. *)
+let installable g vid =
+  match g.view with
+  | None -> true
+  | Some view -> View_id.equal vid view.View.id || vid.View_id.seq > view.View.id.View_id.seq
+
 let freeze t g view_id msg =
-  ignore t;
-  g.frozen <- (view_id, msg) :: g.frozen;
-  if List.length g.frozen > frozen_cap then
-    g.frozen <- List.filteri (fun i _ -> i < frozen_cap) g.frozen
+  if installable g view_id then begin
+    g.frozen <- (view_id, msg) :: g.frozen;
+    g.frozen_count <- g.frozen_count + 1;
+    if g.frozen_count > frozen_cap then begin
+      (* newest first: the oldest messages beyond the cap go *)
+      let dropped = List.filteri (fun i _ -> i >= frozen_cap) g.frozen in
+      g.frozen <- List.filteri (fun i _ -> i < frozen_cap) g.frozen;
+      g.frozen_count <- frozen_cap;
+      List.iter
+        (fun (_, msg) ->
+          Rt.count t.rt "hwg.frozen_dropped";
+          Rt.trace t.rt (fun () ->
+              Plwg_obs.Event.Msg_dropped
+                { src = msg.sender; dst = t.node; kind = Payload.to_string msg.body; reason = "frozen-cap" }))
+        dropped
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
@@ -379,6 +407,10 @@ let reset_for_view t g view =
   g.joiners <- Node_id.Set.diff g.joiners (View.members_set view);
   g.leavers <- Node_id.Set.inter g.leavers (View.members_set view);
   g.foreign <- List.filter (fun (_, n) -> not (View.mem n view)) g.foreign;
+  if g.frozen_count > 0 then begin
+    g.frozen <- List.filter (fun (vid, _) -> installable g vid) g.frozen;
+    g.frozen_count <- List.length g.frozen
+  end;
   g.last_proposal <- Node_id.Set.empty;
   g.view_seq <- max g.view_seq view.View.id.View_id.seq;
   record t (Installed { node = t.node; view });
@@ -1048,6 +1080,7 @@ let join ?(ordering = Fifo) t group =
           peer_vec = Array.make n [||];
           peer_seen = Array.make n false;
           frozen = [];
+          frozen_count = 0;
           outbox = [];
           to_pending = Deque.create ();
           joiners = Node_id.Set.empty;
@@ -1109,6 +1142,8 @@ let groups t =
 let store_size t group = match lookup t group with Some g -> g.store_count | None -> 0
 
 let store_peak t group = match lookup t group with Some g -> g.store_peak | None -> 0
+
+let frozen_size t group = match lookup t group with Some g -> g.frozen_count | None -> 0
 
 let am_coordinator t group =
   match view_of t group with Some view -> Node_id.equal (View.coordinator view) t.node | None -> false

@@ -112,6 +112,12 @@ val store_size : t -> Gid.t -> int
     group's view (introspection; exercised by the stability-GC tests).
     O(1): a counter, not a list walk. *)
 
+val frozen_size : t -> Gid.t -> int
+(** Messages held back for a later delivery in the group: received out
+    of order, during a view change, or ahead of their view's install.
+    Only views the node can still install are kept, so once an install
+    has drained this is 0.  O(1). *)
+
 val store_peak : t -> Gid.t -> int
 (** Lifetime high-water mark of {!store_size} for the group (spans view
     changes; used by the macro benchmark to report peak memory). *)

@@ -120,35 +120,78 @@ let test_db_snapshot_isolated () =
   Alcotest.(check int) "snapshot unchanged" 1 (List.length (Db.lwgs snap));
   Alcotest.(check int) "db changed" 2 (List.length (Db.lwgs db))
 
+let test_db_merge_grows_superseded_only () =
+  let a = Db.create () and b = Db.create () in
+  Db.set a (entry ~lwg:lwg_a ~lwg_view:(vid 0 1) ~hwg:hwg_1 ());
+  Db.set a (entry ~lwg:lwg_a ~lwg_view:(vid 0 3) ~hwg:hwg_1 ~preds:[ vid 0 2 ] ());
+  Db.set b (entry ~lwg:lwg_a ~lwg_view:(vid 0 2) ~hwg:hwg_1 ~preds:[ vid 0 1 ] ());
+  Db.set b (entry ~lwg:lwg_a ~lwg_view:(vid 0 3) ~hwg:hwg_1 ~preds:[ vid 0 2 ] ());
+  (* b brings no entry a lacks, only the news that (0,1) is superseded *)
+  Alcotest.(check bool) "merge changes" true (Db.merge a b);
+  match Db.read a lwg_a with
+  | [ e ] -> Alcotest.(check bool) "superseded entry retired" true (View_id.equal e.Db.lwg_view (vid 0 3))
+  | other -> Alcotest.failf "expected 1 entry, got %d" (List.length other)
+
+let arbitrary_entry =
+  QCheck.Gen.(
+    let* lwg_seq = int_range 1 3 in
+    let* view_coord = int_range 0 3 in
+    let* view_seq = int_range 1 5 in
+    let* hwg_seq = int_range 10 12 in
+    let* n_preds = int_range 0 2 in
+    let* preds = list_size (return n_preds) (pair (int_range 0 3) (int_range 1 5)) in
+    return
+      (entry ~lwg:(gid lwg_seq 0) ~lwg_view:(vid view_coord view_seq) ~hwg:(gid hwg_seq 0)
+         ~preds:(List.map (fun (c, s) -> vid c s) preds) ()))
+
+let db_of entries =
+  let db = Db.create () in
+  List.iter (Db.set db) entries;
+  db
+
 (* Merge is commutative and convergent on the live sets. *)
 let prop_db_merge_commutes =
-  let arbitrary_entry =
-    QCheck.Gen.(
-      let* lwg_seq = int_range 1 3 in
-      let* view_coord = int_range 0 3 in
-      let* view_seq = int_range 1 5 in
-      let* hwg_seq = int_range 10 12 in
-      let* n_preds = int_range 0 2 in
-      let* preds = list_size (return n_preds) (pair (int_range 0 3) (int_range 1 5)) in
-      return
-        (entry ~lwg:(gid lwg_seq 0) ~lwg_view:(vid view_coord view_seq) ~hwg:(gid hwg_seq 0)
-           ~preds:(List.map (fun (c, s) -> vid c s) preds) ()))
-  in
   QCheck.Test.make ~name:"naming db: merge order does not matter" ~count:200
     QCheck.(pair (make Gen.(list_size (int_range 0 8) arbitrary_entry))
               (make Gen.(list_size (int_range 0 8) arbitrary_entry)))
     (fun (es1, es2) ->
-      let build es =
-        let db = Db.create () in
-        List.iter (Db.set db) es;
-        db
-      in
-      let ab = build es1 in
-      ignore (Db.merge ab (build es2));
-      let ba = build es2 in
-      ignore (Db.merge ba (build es1));
+      let ab = db_of es1 in
+      ignore (Db.merge ab (db_of es2));
+      let ba = db_of es2 in
+      ignore (Db.merge ba (db_of es1));
       let dump db = List.map (fun lwg -> (lwg, List.map (fun e -> (e.Db.lwg_view, e.Db.hwg)) (Db.read db lwg))) (Db.lwgs db) in
       dump ab = dump ba)
+
+(* [conflicts] is computed in one pass over the live entries; it must
+   agree with asking [conflicting] of every LWG, and a merge repeated
+   verbatim must find nothing new. *)
+let prop_db_conflicts_and_merge_idempotent =
+  let arbitrary_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun e -> `Set e) arbitrary_entry);
+          (1, map (fun es -> `Merge es) (list_size (int_range 0 6) arbitrary_entry));
+        ])
+  in
+  QCheck.Test.make ~name:"naming db: conflicts matches conflicting; merge idempotent" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 12) arbitrary_op))
+    (fun ops ->
+      let db = Db.create () in
+      List.for_all
+        (fun op ->
+          let idempotent =
+            match op with
+            | `Set e ->
+                Db.set db e;
+                true
+            | `Merge es ->
+                let other = db_of es in
+                ignore (Db.merge db other);
+                not (Db.merge db other)
+          in
+          idempotent && List.equal Gid.equal (Db.conflicts db) (List.filter (Db.conflicting db) (Db.lwgs db)))
+        ops)
 
 (* ---------------- server/client integration ---------------- *)
 
@@ -310,7 +353,9 @@ let suite =
     Alcotest.test_case "db merge union+gc" `Quick test_db_merge_union_and_gc;
     Alcotest.test_case "db paper table 3" `Quick test_db_paper_table3;
     Alcotest.test_case "db snapshot isolated" `Quick test_db_snapshot_isolated;
+    Alcotest.test_case "db merge grows superseded only" `Quick test_db_merge_grows_superseded_only;
     QCheck_alcotest.to_alcotest prop_db_merge_commutes;
+    QCheck_alcotest.to_alcotest prop_db_conflicts_and_merge_idempotent;
     Alcotest.test_case "client set/read" `Quick test_client_set_read;
     Alcotest.test_case "client read unknown" `Quick test_client_read_unknown;
     Alcotest.test_case "client testset race" `Quick test_client_testset_race;

@@ -458,6 +458,42 @@ let test_stability_disabled_retains () =
   Alcotest.(check int) "everything retained without the exchange" 50
     (Hwg.store_size cluster.Cluster.hwgs.(1) group)
 
+(* Frozen-buffer GC: a message that arrives during a flush, or tagged
+   with a view the node has moved past, can never be delivered and must
+   not pile up across partition cycles.  Every node sends every 20 ms
+   around each partition and each heal, so traffic is in flight through
+   every flush; once each merged install has drained, nothing may be
+   left frozen anywhere. *)
+let test_frozen_drained_across_cycles () =
+  let cluster, _ = make_cluster ~n:4 ~seed:23 () in
+  let engine = cluster.Cluster.engine in
+  let group = gid 0 in
+  Array.iter (fun hwg -> Hwg.join hwg group) cluster.Cluster.hwgs;
+  Cluster.run cluster (Time.sec 4);
+  let pump ~ms =
+    for k = 1 to ms / 20 do
+      let (_ : Sim_rt.cancel) =
+        Sim_rt.after engine (Time.ms (20 * k)) (fun () ->
+            Array.iteri (fun node hwg -> Hwg.send hwg group (App ((100_000 * node) + k))) cluster.Cluster.hwgs)
+      in
+      ()
+    done
+  in
+  for cycle = 1 to 6 do
+    pump ~ms:4000;
+    Cluster.run cluster (Time.ms 500);
+    Sim_rt.set_partition engine [ [ 0; 1 ]; [ 2; 3 ] ];
+    Cluster.run cluster (Time.sec 4);
+    pump ~ms:3500;
+    Cluster.run cluster (Time.ms 500);
+    Sim_rt.heal engine;
+    Cluster.run cluster (Time.sec 5);
+    check_converged cluster group (Printf.sprintf "cycle %d merged" cycle);
+    let frozen = Array.fold_left (fun acc hwg -> acc + Hwg.frozen_size hwg group) 0 cluster.Cluster.hwgs in
+    Alcotest.(check int) (Printf.sprintf "cycle %d: nothing frozen" cycle) 0 frozen
+  done;
+  check_invariants cluster
+
 (* Causal ordering: a relay scenario under heavy link jitter.  With
    FIFO ordering a reply can overtake the message it answers; causal
    ordering must delay it. *)
@@ -624,6 +660,7 @@ let suite =
     Alcotest.test_case "fresh gid ordering" `Quick test_fresh_gid_ordering;
     Alcotest.test_case "stability gc prunes" `Quick test_stability_gc_prunes;
     Alcotest.test_case "stability disabled retains" `Quick test_stability_disabled_retains;
+    Alcotest.test_case "frozen drained across cycles" `Quick test_frozen_drained_across_cycles;
     Alcotest.test_case "causal never violates" `Quick test_causal_never_violates;
     Alcotest.test_case "fifo can violate causality" `Quick test_fifo_can_violate_causality;
     Alcotest.test_case "causal survives partition+merge" `Quick test_causal_survives_partition_merge;
