@@ -39,16 +39,6 @@ module Micro = struct
       preds = (if i >= 8 then [ vid (i mod 8) ((i / 8) - 1) ] else []);
     }
 
-  let heap_churn =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let heap = Plwg_util.Heap.create ~cmp:Int.compare in
-           for i = 0 to 999 do
-             Plwg_util.Heap.push heap ((i * 7919) mod 997)
-           done;
-           let rec drain () = match Plwg_util.Heap.pop heap with Some _ -> drain () | None -> () in
-           drain ()))
-
   let rng_draws =
     Test.make ~name:"rng draw x1000"
       (Staged.stage (fun () ->
@@ -98,8 +88,7 @@ module Micro = struct
            Array.iter (fun hwg -> Plwg_vsync.Hwg.join hwg group) cluster.Plwg_harness.Cluster.hwgs;
            Plwg_harness.Cluster.run cluster (Plwg_sim.Time.sec 1)))
 
-  let all =
-    [ heap_churn; rng_draws; db_set; db_merge; policy_rules; simulation_slice ]
+  let all = [ rng_draws; db_set; db_merge; policy_rules; simulation_slice ]
 
   let run ?(quick = false) () =
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

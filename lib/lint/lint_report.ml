@@ -3,13 +3,13 @@
    Severity policy (the "warnings-as-errors for lib/" promotion): a
    finding in library code is always an error; findings in executables
    and benchmarks are warnings unless --werror upgrades everything.
-   The dune @lint alias passes --werror, so any unsuppressed,
+   The dune @lint-typed alias passes --werror, so any unsuppressed,
    non-baselined finding fails the build. *)
 
 module Json = Plwg_obs.Json
 
 let severity ~werror (f : Lint_rules.finding) =
-  if werror || Lint_engine.requires_mli f.file then Lint_rules.Error else Lint_rules.Warning
+  if werror || Lint_rules.under_lib f.file then Lint_rules.Error else Lint_rules.Warning
 
 let severity_name = function Lint_rules.Error -> "error" | Lint_rules.Warning -> "warning"
 

@@ -2,7 +2,7 @@
 
     Severity policy: findings in library code ([lib/]) are always
     errors; elsewhere they are warnings unless [~werror:true] upgrades
-    everything (the dune [@lint] alias does). *)
+    everything (the dune [@lint-typed] alias does). *)
 
 val severity : werror:bool -> Lint_rules.finding -> Lint_rules.severity
 val severity_name : Lint_rules.severity -> string

@@ -8,15 +8,16 @@
    protocol — local invariants of the paper's machinery that the type
    checker cannot see (dispatches that silently swallow a newly added
    message constructor, LWG state mutated outside a designated
-   transition function, public modules without an interface).
+   transition function, public modules without an interface, protocol
+   code reaching past the runtime layer).
 
-   Two rules are emitted only by the typed (cmt-walking) engine in
-   lib/lint/typed/: [Shared_cell] (the domain-safety precondition map
-   for the parallel backend) and [Hot_path_alloc] (the compile-time
-   gate on the zero-allocation data plane).  [Poly_compare_protocol]
-   is emitted by both engines: the untyped pass keeps the cheap
-   name-independent checks (Hashtbl.hash, bare [compare] passed as a
-   value), the typed pass sees real protocol types. *)
+   One engine checks every rule: the Tlint_* modules walk the .cmt
+   typedtrees dune writes, so identifiers are matched by resolved path
+   (through opens and local module aliases), not by spelling.  Two
+   rules need the types outright: [Shared_cell] (the domain-safety
+   precondition map for the parallel backend, lib/ only) and
+   [Hot_path_alloc] (the compile-time gate on the zero-allocation data
+   plane). *)
 
 type id =
   | Hashtbl_iter_order
@@ -101,11 +102,13 @@ let describe = function
   | Shared_cell ->
       "a module-global mutable cell (ref, table, array, or a global holding a mutable-bearing \
        type) is shared state under a parallel backend; annotate it [@@shared_cell \"reason\"] \
-       after auditing, or move it into per-node state (typed engine; see domain-safety.json)"
+       after auditing, or move it into per-node state (see domain-safety.json)"
   | Hot_path_alloc ->
       "a function marked [@@zero_alloc_hot] must not allocate: no closures, boxed constructors, \
        tuples, records, or string building in its body; hoist the allocation, pool it, or mark \
-       an audited cold branch [@alloc_ok \"reason\"] (typed engine)"
+       an audited cold branch [@alloc_ok \"reason\"]"
+
+let under_lib path = match String.split_on_char '/' path with "lib" :: _ -> true | _ -> false
 
 let compare_finding a b =
   let by =

@@ -16,10 +16,10 @@ type id =
       (** direct [Engine.] access outside [lib/sim/] and [lib/runtime/];
           protocol layers must code against [Plwg_runtime.Rt] *)
   | Shared_cell
-      (** typed engine: module-global mutable cell without a
+      (** module-global mutable cell in lib/ without a
           [\@\@shared_cell] audit annotation (domain-safety report) *)
   | Hot_path_alloc
-      (** typed engine: allocating construct inside a
+      (** allocating construct inside a
           [\@\@zero_alloc_hot] function body *)
 
 type severity = Warning | Error
@@ -37,6 +37,10 @@ val all : id list
 val name : id -> string
 val of_name : string -> id option
 val describe : id -> string
+
+val under_lib : string -> bool
+(** True for paths under a root named [lib]: library code, where
+    findings are always errors and interfaces are required. *)
 
 val compare_finding : finding -> finding -> int
 (** Total order by (file, line, col, rule name, message) — report order

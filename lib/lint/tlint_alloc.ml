@@ -18,9 +18,8 @@
      - arguments of the raise family ([raise]/[failwith]/
        [invalid_arg]) — failure paths may build exceptions;
      - [assert] payloads;
-     - applications of a trace-family head (last path segment
-       ["trace"], or [Logs.*]) — their thunks only run when tracing
-       is enabled. *)
+     - arguments of a trace-boundary call ({!Tlint_path.is_trace_boundary})
+       — their thunks only run when tracing or logging is enabled. *)
 
 let raise_family = function
   | "Stdlib.raise" | "Stdlib.raise_notrace" | "Stdlib.failwith" | "Stdlib.invalid_arg" -> true
@@ -42,17 +41,6 @@ let known_alloc = function
 
 let head_canon (e : Typedtree.expression) =
   match e.exp_desc with Texp_ident (path, _, _) -> Some (Tlint_path.canon path) | _ -> None
-
-let trace_head (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_ident (path, _, _) -> (
-      let name = Path.name path in
-      String.starts_with ~prefix:"Logs." name
-      ||
-      match List.rev (String.split_on_char '.' name) with
-      | last :: _ -> String.equal last "trace"
-      | [] -> false)
-  | _ -> false
 
 let rec arity ty n =
   match Types.get_desc ty with
@@ -94,8 +82,9 @@ let check_body ~fn body =
     if not (Tlint_attr.alloc_ok e.exp_attributes) then
       match e.exp_desc with
       | Texp_assert _ -> ()
-      | Texp_apply (head, _) when (match head_canon head with Some c -> raise_family c | None -> false) -> ()
-      | Texp_apply (head, _) when trace_head head -> ()
+      | Texp_apply (head, _)
+        when match head_canon head with Some c -> raise_family c || Tlint_path.is_trace_boundary c | None -> false ->
+          ()
       | Texp_function _ -> flag e.exp_loc "closure allocation"
       | _ ->
           (match e.exp_desc with

@@ -1,13 +1,14 @@
-(* The typed engine's attribute vocabulary, looked up on compiler-libs
+(* The lint's attribute vocabulary, looked up on compiler-libs
    [Parsetree.attributes] as preserved in cmt typedtrees:
 
+     [@@transition]              binding may mutate lstate fields
+     [@@message_family]          variant enforced like an extension family
      [@@zero_alloc_hot]          gate a function's body against allocation
      [@alloc_ok "reason"]        audited cold branch inside a hot body
      [@@shared_cell "reason"]    audited module-global mutable cell
      [@shared_cell "reason"]     same, on a mutable record field
 
-   Every name also accepts a [plwg.] prefix, mirroring the untyped
-   engine's [@@transition]/[@@plwg.transition] convention. *)
+   Every name also accepts a [plwg.] prefix ([@@plwg.transition]). *)
 
 let has_name name (attr : Parsetree.attribute) =
   String.equal attr.attr_name.txt name || String.equal attr.attr_name.txt ("plwg." ^ name)
@@ -29,6 +30,8 @@ let payload_string (attr : Parsetree.attribute) =
       Some reason
   | _ -> None
 
+let transition attrs = Option.is_some (find "transition" attrs)
+let message_family attrs = Option.is_some (find "message_family" attrs)
 let zero_alloc_hot attrs = Option.is_some (find "zero_alloc_hot" attrs)
 let alloc_ok attrs = Option.is_some (find "alloc_ok" attrs)
 

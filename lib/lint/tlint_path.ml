@@ -20,7 +20,7 @@ let shorten component =
    [Plwg_util__Itbl] is handled by [shorten], not this list.) *)
 let is_wrapper = function
   | "Plwg" | "Plwg_util" | "Plwg_obs" | "Plwg_sim" | "Plwg_transport" | "Plwg_detector" | "Plwg_vsync"
-  | "Plwg_naming" | "Plwg_harness" | "Plwg_lint" | "Plwg_lint_typed" ->
+  | "Plwg_naming" | "Plwg_harness" | "Plwg_lint" ->
       true
   | _ -> false
 
@@ -51,5 +51,12 @@ let canon_in ~unit path =
   | components -> String.concat "." components
 
 (* Short unit name of a [cmt_modname]: ["Plwg_util__Intern"] is unit
-   ["Intern"]; an unwrapped unit like ["Lint_engine"] is itself. *)
+   ["Intern"]; an unwrapped unit like ["Lint_rules"] is itself. *)
 let unit_of_modname modname = shorten modname
+
+(* The trace/log boundary: calls whose arguments only run, or only
+   render, when a sink is enabled — [Logs.*], any [trace], and payload
+   printer registration. *)
+let is_trace_boundary name =
+  String.starts_with ~prefix:"Logs." name
+  || match List.rev (String.split_on_char '.' name) with ("trace" | "register_printer") :: _ -> true | _ -> false

@@ -14,5 +14,7 @@ val unit_of_modname : string -> string
 (** Short unit name of a [cmt_modname]: ["Plwg_util__Intern"] →
     ["Intern"]. *)
 
-val is_builtin : string -> bool
-(** Predeclared type heads ([int], [list], [array], ...). *)
+val is_trace_boundary : string -> bool
+(** Canonical names of the calls whose arguments only run, or only
+    render, when a trace or log sink is enabled: [Logs.*], any [trace],
+    and [register_printer]. *)

@@ -1,9 +1,9 @@
 (* Growable ring buffer: amortized-O(1) push at the back and pop at the
    front, the access pattern of every FIFO hot path in the stack (the
    transport's unacked window, the HWG total-order pending queue, the
-   per-sender retransmission stores).  Like {!Heap}, vacated slots are
-   cleared to [None] so popped elements do not linger behind closures
-   captured by the simulator. *)
+   per-sender retransmission stores).  Vacated slots are cleared to
+   [None] so popped elements do not linger behind closures captured by
+   the simulator. *)
 
 type 'a t = {
   mutable data : 'a option array;

@@ -1,8 +1,10 @@
-(** Imperative binary min-heap, used as the simulator's event queue.
+(** Imperative binary min-heap, the reference model for the timing
+    wheel ([Plwg_util.Wheel]): property tests check that the wheel pops
+    events in the heap's order.
 
     Elements are ordered by a user-supplied comparison.  Ties must be
-    broken by the caller (the simulator orders events by
-    [(time, sequence-number)]) so that extraction order is total and
+    broken by the caller (the wheel tests order events by
+    [(tick, sequence-number)]) so that extraction order is total and
     deterministic. *)
 
 type 'a t

@@ -1,6 +1,7 @@
 (* Unit and property tests for Plwg_util: Rng determinism/statistics,
-   Heap ordering, and the Deque/Seqbuf hot-path structures checked
-   against naive list reference implementations. *)
+   the Heap reference model (test/heap.ml) the wheel is checked against,
+   and the Deque/Seqbuf hot-path structures checked against naive list
+   reference implementations. *)
 
 open Plwg_util
 
