@@ -9,14 +9,16 @@
       [model.link_base] — the lookahead: a message sent inside a window
       cannot arrive before the window ends, so a domain can execute a
       whole window without observing its peers;
-    - cross-domain sends go into the destination domain's mutex-guarded
-      inbox and are folded into its wheel at the next window boundary,
-      sorted by [(arrival, src, per-source seq)] so the fold order is
-      independent of physical race outcomes;
-    - windows are separated by two barriers (inbox folds all complete
-      before any peer starts executing, and all execution completes
-      before the next fold), which makes a run deterministic for a
-      fixed [(seed, n_domains)];
+    - cross-domain sends go into lock-free lanes, one per (window
+      parity, source domain, destination domain): only the source
+      appends during a window, and the destination drains them at the
+      start of the next window, sorted by [(arrival, src, per-source
+      seq)], so the fold order is independent of physical race outcomes;
+    - one barrier ends each window (it spins briefly on atomics, then
+      sleeps on a condition variable; with more domains than cores it
+      sleeps at once): the drain of window k+1 reads only lanes written
+      in window k, which makes a run deterministic for a fixed
+      [(seed, n_domains)];
     - per-node randomness comes from {!Plwg_util.Rng.stream}, so a
       node's draws depend only on the seed and its own call sequence.
 
@@ -48,12 +50,18 @@ val now : t -> Time.t
     the end of the last completed run from the main domain. *)
 
 val run : t -> until:Time.t -> unit
-(** Spawn the worker domains, execute windows up to [until], join.
-    Monotone: [until] must not precede the current time. *)
+(** Execute windows up to [until]: the calling domain runs domain 0 and
+    [n_domains - 1] spawned domains run the rest, joined before the
+    return.  Monotone: [until] must not precede the current time.  If a
+    handler or timer raises, every domain stops at its next window
+    boundary and [run] re-raises the first exception; the backend's
+    state is then unspecified. *)
 
 val run_span : t -> Time.span -> unit
 
 type stats = { sent : int; delivered : int; wire_dropped : int }
 
 val stats : t -> stats
+(** Totals over the backend's life; read while quiescent. *)
+
 val in_flight : t -> int
