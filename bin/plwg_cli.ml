@@ -313,7 +313,8 @@ let conformance_cmd =
   let run seed domains =
     match Plwg_harness.Conformance.check ~seed ~n_domains:domains with
     | Ok () ->
-        Printf.printf "conformance: seed %d, %d domains: sim deterministic, domains deterministic, equivalent\n"
+        Printf.printf
+          "conformance: seed %d, %d domains: sim deterministic, domains deterministic, equivalent, 0 VS violations\n"
           seed domains
     | Error errs ->
         List.iter (fun e -> Printf.eprintf "conformance: %s\n" e) errs;
@@ -323,7 +324,8 @@ let conformance_cmd =
     (Cmd.info "conformance"
        ~doc:
          "Run the seeded conformance scenario on the deterministic sim and the OCaml 5 multi-domain backend; \
-          check determinism of each and trace-equivalence (modulo per-node commutativity) between them.")
+          check determinism of each, trace-equivalence (modulo per-node commutativity) between them, and the \
+          virtual-synchrony invariants on both.")
     Term.(const run $ seed_arg $ domains_arg)
 
 let main_cmd =

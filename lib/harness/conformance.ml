@@ -28,6 +28,7 @@ module Domains_rt = Plwg_runtime_domains.Domains_rt
 module Service = Plwg.Service
 module Gid = Plwg_vsync.Types.Gid
 module View = Plwg_vsync.Types.View
+module Recorder = Plwg_vsync.Recorder
 
 type Payload.t += Conf_data of { sender : int; seq : int }
 
@@ -93,6 +94,7 @@ type outcome = {
   channels : channel list;  (* sorted by (rcv, group, sender) *)
   views : (int * string * int list) list;  (* (node, group, members), sorted *)
   trace : string;  (* trace sink contents, one JSON line per event *)
+  violations : string list;  (* [Recorder.check_all] of the LWG and HWG recorders *)
 }
 
 let channels_of deliveries =
@@ -147,19 +149,27 @@ let trace_of obs =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
+let outcome deliveries parts obs =
+  {
+    channels = channels_of deliveries;
+    views = views_of parts;
+    trace = trace_of obs;
+    violations = Recorder.check_all parts.Stack.p_recorder @ Recorder.check_all parts.Stack.p_hwg_recorder;
+  }
+
 let run_sim ~seed =
   let obs = Plwg_obs.create () in
   let engine = Sim_rt.create ~obs ~model:Model.default ~seed ~n_nodes:n_app () in
   let deliveries, parts = scenario (Sim_rt.rt engine) in
   Sim_rt.run engine ~until:horizon;
-  { channels = channels_of deliveries; views = views_of parts; trace = trace_of obs }
+  outcome deliveries parts obs
 
 let run_domains ~seed ~n_domains =
   let obs = Plwg_obs.create () in
   let backend = Domains_rt.create ~obs ~model:Model.default ~n_domains ~seed ~n_nodes:n_app () in
   let deliveries, parts = scenario (Domains_rt.rt backend) in
   Domains_rt.run backend ~until:horizon;
-  { channels = channels_of deliveries; views = views_of parts; trace = trace_of obs }
+  outcome deliveries parts obs
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -197,7 +207,8 @@ let diff ~oracle ~candidate =
   List.rev !errs
 
 (* Full conformance protocol: sim determinism (byte-identical trace),
-   domains self-determinism, then domains vs sim equivalence. *)
+   domains self-determinism, domains vs sim equivalence, and the
+   virtual-synchrony oracle on both backends. *)
 let check ~seed ~n_domains =
   let sim_a = run_sim ~seed in
   let sim_b = run_sim ~seed in
@@ -218,6 +229,13 @@ let check ~seed ~n_domains =
   (match diff ~oracle:sim_a ~candidate:dom_a with
   | [] -> ()
   | ds -> errs := ("domains backend diverges from the sim oracle:" :: List.map (fun d -> "  " ^ d) ds) @ !errs);
+  List.iter
+    (fun (name, o) ->
+      if not (List.is_empty o.violations) then
+        errs :=
+          (Printf.sprintf "%s run violates virtual synchrony:" name :: List.map (fun v -> "  " ^ v) o.violations)
+          @ !errs)
+    [ ("sim", sim_a); (Printf.sprintf "domains (n_domains=%d)" n_domains, dom_a) ];
   (* sanity: the scenario must actually exercise the stack *)
   if List.length sim_a.channels = 0 then errs := "scenario delivered no application traffic on the sim" :: !errs;
   match List.rev !errs with [] -> Ok () | es -> Error es

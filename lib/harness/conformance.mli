@@ -13,6 +13,7 @@ type outcome = {
   channels : channel list;  (** sorted by [(rcv, group, sender)] *)
   views : (int * string * int list) list;  (** final [(node, group, members)] *)
   trace : string;  (** trace sink contents, one JSON line per event *)
+  violations : string list;  (** [Recorder.check_all] of the LWG and HWG recorders *)
 }
 
 val run_sim : seed:int -> outcome
@@ -27,5 +28,6 @@ val check : seed:int -> n_domains:int -> (unit, string list) result
 (** The full conformance protocol: the sim reproduces its trace
     byte-for-byte across two runs; the domains backend reproduces
     channels, views and its merged trace for the fixed
-    [(seed, n_domains)]; and the domains run is equivalent to the sim
-    run under {!diff}. *)
+    [(seed, n_domains)]; the domains run is equivalent to the sim run
+    under {!diff}; and neither run violates the virtual-synchrony
+    invariants of {!Plwg_vsync.Recorder.check_all}. *)

@@ -1,73 +1,55 @@
-(* Multi-domain backend: a conservative parallel discrete-event
-   schedule over per-domain timing wheels.
+(* Multi-domain backend: one sim executor ([Engine.t]) per domain over
+   one shared network ([Engine.net]), advanced in conservative windows.
 
    Ownership discipline (what makes the sharing story small):
 
-   - a domain's wheel, clock, and the [busy_until] / [send_seq] /
-     [rng] slots of the nodes it owns are touched only by that domain
-     while workers run, and only by the main domain while quiescent;
-     Domain.spawn/join and the barrier's atomics provide the
-     happens-before edges between those phases;
+   - a domain's executor — its wheel, clock, event pool and counters —
+     and the per-node slots of the net and of [send_seq] for the nodes
+     it owns are touched only by that domain while workers run, and
+     only by the main domain while quiescent; Domain.spawn/join and the
+     barrier's atomics provide the happens-before edges between those
+     phases;
+   - the rest of the net (topology, model, handler lists, recover
+     hooks) changes only while quiescent: wiring and fault steps;
    - the only mid-run cross-domain channel is the lanes: one growable
      buffer per (window parity, destination domain, source domain).
      During window k the source alone appends to its parity-(k mod 2)
      lanes; after the window's barrier the destination alone drains
      them at the start of window k+1, while the sources write the
      other parity.  No lock, and one barrier per window;
-   - bookkeeping counters ([sent], [delivered], ...) are per domain and
-     summed while quiescent; metrics and the trace sink are serialised
-     (metrics under a mutex, traces via per-domain buffers merged after
-     the join).
+   - metrics are taken under the net's lock and traces go to
+     per-executor buffers merged after the join.
 
-   The main domain runs domain 0 itself, so a run spawns
-   [n_domains - 1] domains.  A worker whose handler raises records the
-   first exception and poisons the barrier, so its peers leave at their
-   next window boundary; [run] joins them all and re-raises.
-
-   Determinism: each domain's event order is a function of its wheel
-   content, wheel content changes only at deterministic points (its own
-   execution, plus window-start lane drains sorted by
+   Determinism: a domain's wheel changes only at deterministic points
+   (its own execution, plus window-start lane drains sorted by
    [(arrival, src, seq)]), and every domain executes the same window
-   sequence — so a run is reproducible for a fixed (seed, n_domains),
-   though not bit-identical to the sim's single interleaving.  The
-   conformance checker compares the two modulo per-node commutativity
-   (see DESIGN.md, "Runtime layer"). *)
+   sequence, so a run is reproducible for a fixed (seed, n_domains). *)
 
 open Plwg_sim
-module Rng = Plwg_util.Rng
-module Wheel = Plwg_util.Wheel
 module Rt = Plwg_runtime.Rt
 
-type ev =
-  | Ev_none
-  | Ev_arrive of { src : Node_id.t; dst : Node_id.t; sent_at : Time.t; payload : Payload.t }
-  | Ev_deliver of { src : Node_id.t; dst : Node_id.t; sent_at : Time.t; payload : Payload.t }
-  | Ev_timer of { action : unit -> unit }
-
 (* The lane of one window parity from one source domain to one
-   destination domain, struct-of-arrays: entry [i] is [evs.(i)] (an
-   [Ev_arrive]) with its drain key [(arrival, src, per-source seq)] at
-   [keys.(3i .. 3i+2)].  Grown by doubling, never shrunk. *)
+   destination domain, struct-of-arrays: entry [i] is the message
+   [payloads.(i)] with [keys.(5i .. 5i+4)] = its drain key
+   [(arrival, src, per-source seq)], then [dst] and [sent_at].  Grown by
+   doubling, never shrunk. *)
 type lane = {
   mutable len : int
       [@shared_cell "lane: the source writes in window k, the destination drains after its barrier"];
   mutable keys : int array
       [@shared_cell "lane: the source writes in window k, the destination drains after its barrier"];
-  mutable evs : ev array
+  mutable payloads : Payload.t array
       [@shared_cell "lane: the source writes in window k, the destination drains after its barrier"];
 }
 
+let stride = 5
+
+type Payload.t += Lane_free
+
 type dom = {
   idx : int;
-  wheel : ev Wheel.t;
-  mutable dnow : Time.t;
-  mutable out : int;  (* parity of the lanes this domain writes in the current window *)
+  exec : Engine.t;
   mutable order : int array;  (* drain scratch: encoded lane entries, sorted in place *)
-  mutable sent : int;  (* counters of the sends and deliveries this domain ran *)
-  mutable delivered : int;
-  mutable wire_dropped : int;
-  mutable trace_buf : (Time.t * Plwg_obs.Event.t) list;  (* newest first;
-      written only by the owner domain, read by main after join *)
 }
 
 (* Sense-reversing barrier: [phase] is the sense, bumped by the last
@@ -84,22 +66,14 @@ type barrier = {
 }
 
 type t = {
-  n_nodes : int;
   n_domains : int;
-  model : Model.t;
   doms : dom array;
   lanes : lane array array array;  (* [lanes.(parity).(dst_domain).(src_domain)] *)
+  out : int array;  (* slot [d]: parity of the lanes domain [d] writes; [d]-owned *)
   mutable drain : int;  (* parity the next run's first window drains; main-owned *)
-  node_rngs : Rng.t array;  (* slot [n] drawn only by [n]'s owner *)
-  send_seq : int array;  (* slot [n] bumped only by [n]'s owner *)
-  busy_until : Time.t array;  (* slot [n] touched only by [n]'s owner *)
-  handlers : (src:Node_id.t -> Payload.t -> unit) list array;  (* wiring-time *)
-  frozen : (src:Node_id.t -> Payload.t -> unit) array array;  (* frozen at run start *)
-  obs : Plwg_obs.t option;
-  metrics_mutex : Mutex.t;
   barrier : barrier;
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;  (* first handler exception of a run *)
-  mutable global_now : Time.t;
+  obs : Plwg_obs.t option;
 }
 
 (* Which domain is executing, for [now]/[trace] called from inside a
@@ -108,8 +82,6 @@ type t = {
    is checked so two backends in one process cannot cross-talk. *)
 let dls_ctx : (Obj.t * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let exec_idx t = match Domain.DLS.get dls_ctx with Some (o, i) when o == Obj.repr t -> i | _ -> -1
-
 (* Rounds of [Domain.cpu_relax] a barrier waiter spins before it
    sleeps.  With a core per domain, spinning catches the peer's arrival
    without a futex round trip; with more domains than cores, each round
@@ -117,39 +89,54 @@ let exec_idx t = match Domain.DLS.get dls_ctx with Some (o, i) when o == Obj.rep
    Both sides are measured in EXPERIMENTS.md, "Domains scheduler". *)
 let spin_limit = 4096
 
+let lane_push l ~tick ~src ~seq ~dst ~sent_at payload =
+  let n = l.len in
+  if n = Array.length l.payloads then begin
+    let cap = max 16 (2 * n) in
+    let keys = Array.make (stride * cap) 0 and payloads = Array.make cap Lane_free in
+    Array.blit l.keys 0 keys 0 (stride * n);
+    Array.blit l.payloads 0 payloads 0 n;
+    l.keys <- keys;
+    l.payloads <- payloads
+  end;
+  let k = stride * n in
+  l.keys.(k) <- tick;
+  l.keys.(k + 1) <- src;
+  l.keys.(k + 2) <- seq;
+  l.keys.(k + 3) <- dst;
+  l.keys.(k + 4) <- sent_at;
+  l.payloads.(n) <- payload;
+  l.len <- n + 1
+
+let check_model model =
+  if model.Model.link_base <= 0 then
+    invalid_arg "Domains_rt: model.link_base must be positive (conservative lookahead window)"
+
 let create ?obs ?(model = Model.default) ?(n_domains = 2) ~seed ~n_nodes () =
   if n_nodes <= 0 then invalid_arg "Domains_rt.create: n_nodes must be positive";
   if n_domains <= 0 then invalid_arg "Domains_rt.create: n_domains must be positive";
-  if model.Model.link_base <= 0 then
-    invalid_arg "Domains_rt.create: model.link_base must be positive (conservative lookahead window)";
+  check_model model;
   let n_domains = min n_domains n_nodes in
-  let lane () = { len = 0; keys = [||]; evs = [||] } in
+  let net = Engine.create_net ?obs ~model ~n_execs:n_domains ~n_nodes ~rng:(Plwg_util.Rng.stream ~seed) () in
+  let lane () = { len = 0; keys = [||]; payloads = [||] } in
+  let lanes = Array.init 2 (fun _ -> Array.init n_domains (fun _ -> Array.init n_domains (fun _ -> lane ()))) in
+  let out = Array.make n_domains 0 in
+  (* slot [n] bumped only on [n]'s executor: the per-source drain key *)
+  let send_seq = Array.make n_nodes 0 in
+  (* A message for another domain's node: the lane the destination
+     drains at its next window start (or at the next run's first window,
+     when sent from the quiescent main domain). *)
+  let remote idx ~tick ~src ~dst ~sent_at payload =
+    let seq = send_seq.(src) in
+    send_seq.(src) <- seq + 1;
+    lane_push lanes.(out.(idx)).(dst mod n_domains).(idx) ~tick ~src ~seq ~dst ~sent_at payload
+  in
   {
-    n_nodes;
     n_domains;
-    model;
-    doms =
-      Array.init n_domains (fun idx ->
-          {
-            idx;
-            wheel = Wheel.create ~dummy:Ev_none ();
-            dnow = Time.zero;
-            out = 0;
-            order = [||];
-            sent = 0;
-            delivered = 0;
-            wire_dropped = 0;
-            trace_buf = [];
-          });
-    lanes = Array.init 2 (fun _ -> Array.init n_domains (fun _ -> Array.init n_domains (fun _ -> lane ())));
+    doms = Array.init n_domains (fun idx -> { idx; exec = Engine.executor net ~idx ~remote:(remote idx); order = [||] });
+    lanes;
+    out;
     drain = 0;
-    node_rngs = Array.init n_nodes (fun node -> Rng.stream ~seed node);
-    send_seq = Array.make n_nodes 0;
-    busy_until = Array.make n_nodes Time.zero;
-    handlers = Array.make n_nodes [];
-    frozen = Array.make n_nodes [||];
-    obs;
-    metrics_mutex = Mutex.create ();
     barrier =
       {
         parties = n_domains;
@@ -161,167 +148,28 @@ let create ?obs ?(model = Model.default) ?(n_domains = 2) ~seed ~n_nodes () =
         bc = Condition.create ();
       };
     failure = Atomic.make None;
-    global_now = Time.zero;
+    obs;
   }
 
 let n_domains t = t.n_domains
-let dom_of t node = t.doms.(node mod t.n_domains)
-let now t =
-  let i = exec_idx t in
-  if i < 0 then t.global_now else t.doms.(i).dnow
-let n_nodes t = t.n_nodes
-let nodes t = List.init t.n_nodes Fun.id
-let is_alive _ _ = true
-let rng_node t node = t.node_rngs.(node)
 
-(* ------------------------------------------------------------------ *)
-(* Observability                                                       *)
-(* ------------------------------------------------------------------ *)
+(* The executor running the calling code: the worker's own from inside
+   a handler, domain 0's on the quiescent main domain (every executor's
+   clock then reads the end of the last run). *)
+let current t =
+  match Domain.DLS.get dls_ctx with
+  | Some (o, i) when o == Obj.repr t -> t.doms.(i).exec
+  | _ -> t.doms.(0).exec
 
-let trace t make =
-  match t.obs with
-  | None -> ()
-  | Some o -> (
-      let i = exec_idx t in
-      if i < 0 then Plwg_obs.Sink.emit o.Plwg_obs.sink ~at_us:t.global_now (make ())
-      else
-        let d = t.doms.(i) in
-        d.trace_buf <- (d.dnow, make ()) :: d.trace_buf)
+let owner t node = t.doms.(node mod t.n_domains).exec
+let now t = Engine.now (current t)
 
-let count ?by t name =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      Mutex.lock t.metrics_mutex;
-      Plwg_obs.Metrics.incr ?by o.Plwg_obs.metrics name;
-      Mutex.unlock t.metrics_mutex
-
-let observe t name v =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      Mutex.lock t.metrics_mutex;
-      Plwg_obs.Metrics.observe o.Plwg_obs.metrics name v;
-      Mutex.unlock t.metrics_mutex
-
-(* Merge per-domain buffers into the sink, ordered by
-   [(timestamp, domain)] — each buffer is already chronological, so a
-   stable sort on that key yields one deterministic global order. *)
-let flush_traces t =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      let tagged =
-        Array.to_list t.doms
-        |> List.concat_map (fun d ->
-               let evs = List.rev d.trace_buf in
-               d.trace_buf <- [];
-               List.map (fun (at, e) -> (at, d.idx, e)) evs)
-      in
-      let ordered =
-        List.stable_sort
-          (fun (a, da, _) (b, db, _) ->
-            let c = Time.compare a b in
-            if c <> 0 then c else Int.compare da db)
-          tagged
-      in
-      List.iter (fun (at, _, e) -> Plwg_obs.Sink.emit o.Plwg_obs.sink ~at_us:at e) ordered
-
-(* ------------------------------------------------------------------ *)
-(* Wiring                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let subscribe t node handler = t.handlers.(node) <- handler :: t.handlers.(node)
-
-let freeze_handlers t =
-  for node = 0 to t.n_nodes - 1 do
-    t.frozen.(node) <- Array.of_list (List.rev t.handlers.(node))
-  done
-
-let on_recover _ _ _ = () (* no fault injection: the transition never happens *)
-
-(* ------------------------------------------------------------------ *)
-(* Timers                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let after_node_ t node span action =
-  Wheel.schedule (dom_of t node).wheel ~tick:(Time.add (now t) span) (Ev_timer { action })
-
-let after_node t node span action =
-  let d = dom_of t node in
-  let h = Wheel.schedule_handle d.wheel ~tick:(Time.add (now t) span) (Ev_timer { action }) in
-  fun () -> ignore (Wheel.cancel d.wheel h)
-
-(* Without crashes the unguarded variant coincides with the guarded
-   one; the node argument still routes it to the owning domain. *)
-let at_node_ = after_node_
-
-(* ------------------------------------------------------------------ *)
-(* Messages                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let lane_push l ~arrival ~src ~seq ev =
-  let n = l.len in
-  if n = Array.length l.evs then begin
-    let cap = max 16 (2 * n) in
-    let keys = Array.make (3 * cap) 0 and evs = Array.make cap Ev_none in
-    Array.blit l.keys 0 keys 0 (3 * n);
-    Array.blit l.evs 0 evs 0 n;
-    l.keys <- keys;
-    l.evs <- evs
-  end;
-  l.keys.(3 * n) <- arrival;
-  l.keys.((3 * n) + 1) <- src;
-  l.keys.((3 * n) + 2) <- seq;
-  l.evs.(n) <- ev;
-  l.len <- n + 1
-
-(* [exec] is the executing domain, or [-1] on the quiescent main domain. *)
-let route t ~exec ~arrival ~src ~dst ~sent_at payload =
-  let dd = dst mod t.n_domains in
-  let ev = Ev_arrive { src; dst; sent_at; payload } in
-  if exec = dd then
-    (* destination lives on the executing domain: straight into the
-       local wheel *)
-    Wheel.schedule t.doms.(dd).wheel ~tick:arrival ev
-  else begin
-    (* another domain's node, or a send from the quiescent main
-       domain: the lane the destination drains at its next window
-       start *)
-    let parity = if exec < 0 then t.drain else t.doms.(exec).out in
-    let from = if exec < 0 then src mod t.n_domains else exec in
-    let seq = t.send_seq.(src) in
-    t.send_seq.(src) <- seq + 1;
-    lane_push t.lanes.(parity).(dd).(from) ~arrival ~src ~seq ev
-  end
-
-let send t ~src ~dst payload =
-  let exec = exec_idx t in
-  (* the quiescent main domain books its sends on the source's domain *)
-  let d = t.doms.(if exec < 0 then src mod t.n_domains else exec) in
-  let tnow = if exec < 0 then t.global_now else d.dnow in
-  d.sent <- d.sent + 1;
-  (match t.obs with
-  | None -> ()
-  | Some _ ->
-      count t "engine.sent";
-      trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload }));
-  if src = dst then route t ~exec ~arrival:tnow ~src ~dst ~sent_at:tnow payload
-  else if t.model.Model.drop_prob > 0.0 && Rng.bernoulli t.node_rngs.(src) t.model.Model.drop_prob then begin
-    d.wire_dropped <- d.wire_dropped + 1;
-    trace t (fun () ->
-        Plwg_obs.Event.Msg_dropped { src; dst; kind = Payload.to_string payload; reason = "wire" });
-    count t "engine.dropped.wire"
-  end
-  else begin
-    let jitter =
-      if t.model.Model.link_jitter = 0 then 0 else Rng.int t.node_rngs.(src) (t.model.Model.link_jitter + 1)
-    in
-    let arrival = Time.add tnow (t.model.Model.link_base + jitter) in
-    route t ~exec ~arrival ~src ~dst ~sent_at:tnow payload
-  end
-
-let multicast t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payload) dsts
+let apply t step =
+  (match Domain.DLS.get dls_ctx with
+  | Some _ -> invalid_arg "Domains_rt.apply: fault steps apply only while the backend is quiescent"
+  | None -> ());
+  (match step with Fault.Set_model model -> check_model model | _ -> ());
+  Fault.apply t.doms.(0).exec step
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -370,12 +218,12 @@ let poison b =
    unique per message. *)
 let entry_lt col n a b =
   let ka = col.(a mod n).keys and kb = col.(b mod n).keys in
-  let ia = 3 * (a / n) and ib = 3 * (b / n) in
+  let ia = stride * (a / n) and ib = stride * (b / n) in
   if ka.(ia) <> kb.(ib) then ka.(ia) < kb.(ib)
   else if ka.(ia + 1) <> kb.(ib + 1) then ka.(ia + 1) < kb.(ib + 1)
   else ka.(ia + 2) < kb.(ib + 2)
 
-(* Fold the lanes of [parity] addressed to [d] into its wheel, in key
+(* Fold the lanes of [parity] addressed to [d] into its executor, in key
    order, and reset them for their sources' next use.  The sort is an
    insertion sort on a reused buffer: each lane is already close to
    arrival order, and unlike [Array.sort] on a fresh array it allocates
@@ -400,81 +248,68 @@ let drain_lanes t d parity =
     for k = 0 to total - 1 do
       let e = a.(k) in
       let l = col.(e mod n) and i = e / n in
-      Wheel.schedule d.wheel ~tick:l.keys.(3 * i) l.evs.(i);
-      l.evs.(i) <- Ev_none
+      let key = stride * i in
+      Engine.arrive d.exec ~tick:l.keys.(key) ~src:l.keys.(key + 1) ~dst:l.keys.(key + 3) ~sent_at:l.keys.(key + 4)
+        l.payloads.(i);
+      l.payloads.(i) <- Lane_free
     done;
     Array.iter (fun l -> l.len <- 0) col
   end
 
-let deliver t d ~src ~dst ~sent_at payload =
-  d.delivered <- d.delivered + 1;
-  (match t.obs with
-  | None -> ()
-  | Some _ ->
-      count t "engine.delivered";
-      trace t (fun () ->
-          Plwg_obs.Event.Msg_delivered
-            { src; dst; kind = Payload.to_string payload; latency_us = Time.diff d.dnow sent_at });
-      observe t "engine.delivery_latency_us" (float_of_int (Time.diff d.dnow sent_at)));
-  let handlers = t.frozen.(dst) in
-  for i = 0 to Array.length handlers - 1 do
-    handlers.(i) ~src payload
-  done
-
-let run_window t d ~window_end =
-  let rec loop () =
-    match Wheel.pop_or d.wheel ~limit:window_end ~none:Ev_none with
-    | Ev_none -> d.dnow <- window_end
-    | ev ->
-        d.dnow <- Wheel.cur d.wheel;
-        (match ev with
-        | Ev_arrive { src; dst; sent_at; payload } ->
-            (* destination CPU: FIFO service, [proc_time] per message,
-               same queueing model as the sim *)
-            let start = max d.dnow t.busy_until.(dst) in
-            let finish = Time.add start t.model.Model.proc_time in
-            t.busy_until.(dst) <- finish;
-            Wheel.schedule d.wheel ~tick:finish (Ev_deliver { src; dst; sent_at; payload })
-        | Ev_deliver { src; dst; sent_at; payload } -> deliver t d ~src ~dst ~sent_at payload
-        | Ev_timer { action } -> action ()
-        | Ev_none -> assert false);
-        loop ()
-  in
-  loop ()
-
-(* Windows from [start] to [until]; [parity] is the lanes the first
-   window drains.  Each window drains the lanes written in the previous
-   one, executes while writing the other parity, and ends at the one
-   barrier.  Returns the parity the next run must drain.  A raise is
-   recorded (the first one wins) and poisons the barrier, which ends
-   every peer's run at its next window boundary. *)
+(* Windows from [start] to [until] of width [model.link_base] — the
+   lookahead: a message sent inside a window cannot arrive before the
+   window ends.  [parity] is the lanes the first window drains.  Each
+   window drains the lanes written in the previous one, executes while
+   writing the other parity, and ends at the one barrier.  Returns the
+   parity the next run must drain.  A raise is recorded (the first one
+   wins) and poisons the barrier, which ends every peer's run at its
+   next window boundary. *)
 let worker t d ~start ~until ~parity =
-  let width = t.model.Model.link_base in
+  let width = (Engine.model d.exec).Model.link_base in
   let rec windows start parity =
     if Time.compare start until < 0 then begin
       drain_lanes t d parity;
-      d.out <- 1 - parity;
+      t.out.(d.idx) <- 1 - parity;
       let window_end = min (Time.add start width) until in
-      run_window t d ~window_end;
+      Engine.run d.exec ~until:window_end;
       if barrier_wait t.barrier then windows window_end (1 - parity) else 1 - parity
     end
     else parity
   in
   Domain.DLS.set dls_ctx (Some (Obj.repr t, d.idx));
-  try windows start parity
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (Atomic.compare_and_set t.failure None (Some (e, bt)));
-    poison t.barrier;
-    parity
+  Engine.set_parallel d.exec true;
+  let next =
+    try windows start parity
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set t.failure None (Some (e, bt)));
+      poison t.barrier;
+      parity
+  in
+  Engine.set_parallel d.exec false;
+  next
+
+(* Merge per-executor buffers into the sink, ordered by
+   [(timestamp, domain)] — each buffer is already chronological, so a
+   stable sort on that key yields one deterministic global order. *)
+let flush_traces t =
+  match t.obs with
+  | None -> ()
+  | Some o ->
+      Array.to_list t.doms
+      |> List.concat_map (fun d -> List.map (fun (at, e) -> (at, d.idx, e)) (Engine.take_trace d.exec))
+      |> List.stable_sort (fun (a, da, _) (b, db, _) ->
+             let c = Time.compare a b in
+             if c <> 0 then c else Int.compare da db)
+      |> List.iter (fun (at, _, e) -> Plwg_obs.Sink.emit o.Plwg_obs.sink ~at_us:at e)
 
 let run t ~until =
-  if Time.compare until t.global_now < 0 then invalid_arg "Domains_rt.run: time cannot rewind";
-  freeze_handlers t;
+  let start = now t in
+  if Time.compare until start < 0 then invalid_arg "Domains_rt.run: time cannot rewind";
   (* a run that raised may have left the barrier mid-phase *)
   Atomic.set t.barrier.waiting 0;
   Atomic.set t.barrier.poisoned false;
-  let start = t.global_now and parity = t.drain in
+  let parity = t.drain in
   let spawned =
     Array.init (t.n_domains - 1) (fun i ->
         Domain.spawn (fun () -> ignore (worker t t.doms.(i + 1) ~start ~until ~parity)))
@@ -485,44 +320,52 @@ let run t ~until =
   flush_traces t;
   match Atomic.exchange t.failure None with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None ->
-      t.drain <- next;
-      t.global_now <- until
+  | None -> t.drain <- next
 
-let run_span t span = run t ~until:(Time.add t.global_now span)
+let run_span t span = run t ~until:(Time.add (now t) span)
 
-type stats = { sent : int; delivered : int; wire_dropped : int }
+type stats = Engine.stats = { sent : int; delivered : int; wire_dropped : int; unreachable_dropped : int }
 
 let stats t =
-  let sum f = Array.fold_left (fun acc d -> acc + f d) 0 t.doms in
-  { sent = sum (fun d -> d.sent); delivered = sum (fun d -> d.delivered); wire_dropped = sum (fun d -> d.wire_dropped) }
+  Array.fold_left
+    (fun acc d ->
+      let s = Engine.stats d.exec in
+      {
+        sent = acc.sent + s.sent;
+        delivered = acc.delivered + s.delivered;
+        wire_dropped = acc.wire_dropped + s.wire_dropped;
+        unreachable_dropped = acc.unreachable_dropped + s.unreachable_dropped;
+      })
+    { sent = 0; delivered = 0; wire_dropped = 0; unreachable_dropped = 0 }
+    t.doms
 
-let in_flight t =
-  let s = stats t in
-  s.sent - s.wire_dropped - s.delivered
+let in_flight t = Array.fold_left (fun acc d -> acc + Engine.in_flight d.exec) 0 t.doms
 
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Node-affine calls go to the node's owner: a send to the owner of
+   [src], which is the executing domain during a run, and the executor
+   whose CPU queue a self-send joins. *)
 module Backend : Rt.S with type t = t = struct
   type nonrec t = t
 
   let now = now
-  let n_nodes = n_nodes
-  let nodes = nodes
-  let is_alive = is_alive
-  let subscribe = subscribe
-  let send = send
-  let multicast = multicast
-  let after_node = after_node
-  let after_node_ = after_node_
-  let at_node_ = at_node_
-  let on_recover = on_recover
-  let rng_node = rng_node
-  let trace = trace
-  let count = count
-  let observe = observe
+  let n_nodes t = Engine.n_nodes t.doms.(0).exec
+  let nodes t = Engine.nodes t.doms.(0).exec
+  let is_alive t node = Engine.is_alive (owner t node) node
+  let subscribe t node handler = Engine.subscribe (owner t node) node handler
+  let send t ~src ~dst payload = Engine.send (owner t src) ~src ~dst payload
+  let multicast t ~src ~dsts payload = Engine.multicast (owner t src) ~src ~dsts payload
+  let after_node t node span action = Engine.after_node (owner t node) node span action
+  let after_node_ t node span action = Engine.after_node_ (owner t node) node span action
+  let at_node_ t node span action = Engine.at_node_ (owner t node) node span action
+  let on_recover t node hook = Engine.on_recover (owner t node) node hook
+  let rng_node t node = Engine.rng_node (owner t node) node
+  let trace t make = Engine.trace (current t) make
+  let count ?by t name = Engine.count ?by (current t) name
+  let observe t name v = Engine.observe (current t) name v
 end
 
 let rt t = Rt.Rt ((module Backend), t)

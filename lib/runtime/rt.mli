@@ -8,13 +8,14 @@
     - {!Sim_rt}: the deterministic single-executor discrete-event
       simulator — the reference semantics (the oracle);
     - [Plwg_runtime_domains.Domains_rt]: an OCaml 5 multi-domain
-      backend sharding node actors across domains.
+      backend running one sim executor per domain over a shared
+      network, with the same delivery semantics and fault plane.
 
     The surface is deliberately {e node-affine}: every timer and every
     receive handler names the node it belongs to, so a parallel backend
     can route all of a node's work to the domain that owns it and
     node-local protocol state needs no locks.  There is no global
-    timer and no global randomness — per-node seeded streams
+    timer and no global randomness — per-node seeded generators
     ({!rng_node}) keep runs reproducible on both backends. *)
 
 open Plwg_sim
@@ -32,8 +33,8 @@ module type S = sig
   val nodes : t -> Node_id.t list
 
   val is_alive : t -> Node_id.t -> bool
-  (** Whether the node is currently up.  Backends without fault
-      injection answer [true] for every node. *)
+  (** Whether the node is currently up.  Both backends crash and
+      recover nodes through the sim's fault plane. *)
 
   val subscribe : t -> Node_id.t -> (src:Node_id.t -> Payload.t -> unit) -> unit
   (** Register a receive handler for a node; handlers fire in
@@ -65,16 +66,19 @@ module type S = sig
       cycle. *)
 
   val on_recover : t -> Node_id.t -> (unit -> unit) -> unit
-  (** Callback fired on the node's executor when it transitions from
-      crashed to alive; hooks run in registration order.  Never fired
-      by backends without fault injection. *)
+  (** Callback fired when the node transitions from crashed to alive;
+      hooks run in registration order.  The domains backend recovers
+      nodes only while quiescent, so its hooks run on the main domain
+      between runs. *)
 
   val rng_node : t -> Node_id.t -> Plwg_util.Rng.t
-  (** The node's private seeded generator.  Streams are derived
-      identically on every backend ({!Plwg_util.Rng.stream}), so a
-      layer's draws depend only on the seed and its own call sequence.
-      Owned by the node: only code running on the node's executor may
-      draw from it. *)
+  (** The node's seeded generator.  On the sim it is the one root
+      stream every node and the wire share, so draws interleave in the
+      sim's schedule order.  The domains backend gives each node an
+      independent {!Plwg_util.Rng.stream}, so there a layer's draws
+      depend only on the seed and its own call sequence, whatever the
+      domain count.  Owned by the node: only code running on the
+      node's executor may draw from it. *)
 
   val trace : t -> (unit -> Plwg_obs.Event.t) -> unit
   (** Emit a trace event stamped with the current virtual time.  The

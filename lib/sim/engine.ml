@@ -51,55 +51,96 @@ let rec ev_nil =
   }
 [@@shared_cell "freelist terminator: a sentinel whose fields are never read or written"]
 
-type t = {
-  topology : Topology.t;
-  mutable model : Model.t;
-  rng : Plwg_util.Rng.t;
-  queue : ev Plwg_util.Wheel.t;
-  obs : Plwg_obs.t option;
+(* The network state every executor reads.  The sim runs one executor
+   over it; the domains backend runs one per domain over the same
+   record.  Cross-executor discipline: the topology, the model, the
+   handler tables and the recover hooks change only while every
+   executor is quiescent (wiring, fault steps between runs); a per-node
+   slot ([rngs], [busy_until], [frozen], [handlers_dirty]) is touched
+   only by the executor that owns the node. *)
+type net = {
+  topology : Topology.t [@shared_cell "written only while every executor is quiescent"];
+  mutable model : Model.t [@shared_cell "written only while every executor is quiescent"];
+  n_execs : int;  (* executor [i] owns the nodes [n] with [n mod n_execs = i] *)
+  rngs : Plwg_util.Rng.t array
+      [@shared_cell "slot n drawn only on n's executor; the sim's single executor aliases one stream"];
+  obs : Plwg_obs.t option
+      [@shared_cell "a parallel executor buffers its traces and takes metrics_lock for metrics"];
   observing : bool; (* [obs <> None], hoisted so hot paths skip thunk allocation *)
-  mutable now : Time.t;
-  mutable free_ev : ev;
+  metrics_lock : Mutex.t;
   (* Handlers are registered newest-first into [handlers]; [dispatch]
      freezes each node's list into [frozen] (subscription order) the
      first time it fires after a registration, so steady-state delivery
      iterates an array with no per-message [List.rev] allocation. *)
-  handlers : (src:Node_id.t -> Payload.t -> unit) list array;
-  frozen : (src:Node_id.t -> Payload.t -> unit) array array;
-  handlers_dirty : bool array;
+  handlers : (src:Node_id.t -> Payload.t -> unit) list array
+      [@shared_cell "written by subscribe only while every executor is quiescent"];
+  frozen : (src:Node_id.t -> Payload.t -> unit) array array
+      [@shared_cell "slot n rebuilt only on n's executor"];
+  handlers_dirty : bool array [@shared_cell "slot n cleared only on n's executor"];
   (* Per-node callbacks fired on a dead -> alive transition, so layers
      whose timers were skipped while the node was crashed (transport
      retransmission, pending naming requests, an in-flight flush) can
      re-arm themselves.  Registered newest-first, fired in registration
      order. *)
-  recover_hooks : (unit -> unit) list array;
-  busy_until : Time.t array;
+  recover_hooks : (unit -> unit) list array
+      [@shared_cell "registered and fired only while every executor is quiescent"];
+  busy_until : Time.t array [@shared_cell "slot n touched only on n's executor"];
+}
+
+(* One executor: a clock, a wheel of pooled events, and the counters of
+   the work it ran.  [remote] takes a message whose destination another
+   executor owns; the sim's single executor never calls it. *)
+type t = {
+  net : net;
+  idx : int;
+  remote : tick:Time.t -> src:Node_id.t -> dst:Node_id.t -> sent_at:Time.t -> Payload.t -> unit;
+  queue : ev Plwg_util.Wheel.t;
+  mutable now : Time.t;
+  mutable free_ev : ev;
+  (* Set while the executor runs beside others: traces go to
+     [trace_buf] (newest first) for a merge after the join, and metrics
+     take [net.metrics_lock]. *)
+  mutable parallel : bool;
+  mutable trace_buf : (Time.t * Plwg_obs.Event.t) list;
   mutable sent : int;
   mutable delivered : int;
   mutable wire_dropped : int;
   mutable unreachable_dropped : int;
-  (* Messages accepted onto the wire or a CPU queue and not yet
-     delivered or dropped.  Fault-free, [sent = delivered + in_flight]
-     at all times, so a drained engine satisfies [sent = delivered] —
-     the invariant the macro bench asserts. *)
+  (* Messages this executor accepted onto the wire or a CPU queue, less
+     those it delivered or dropped.  Summed over executors, fault-free,
+     [sent = delivered + in_flight] at all times, so a drained engine
+     satisfies [sent = delivered] — the invariant the macro bench
+     asserts. *)
   mutable in_flight : int;
 }
 
-let create ?obs ?(model = Model.default) ~seed ~n_nodes () =
+let create_net ?obs ?(model = Model.default) ~n_execs ~n_nodes ~rng () =
+  let topology = Topology.create ~n_nodes (* rejects [n_nodes <= 0] before any array is sized *) in
   {
-    topology = Topology.create ~n_nodes;
+    topology;
     model;
-    rng = Plwg_util.Rng.create ~seed;
-    queue = Plwg_util.Wheel.create ~dummy:ev_nil ();
+    n_execs;
+    rngs = Array.init n_nodes rng;
     obs;
     observing = (match obs with None -> false | Some _ -> true);
-    now = Time.zero;
-    free_ev = ev_nil;
+    metrics_lock = Mutex.create ();
     handlers = Array.make n_nodes [];
     frozen = Array.make n_nodes [||];
     handlers_dirty = Array.make n_nodes false;
     recover_hooks = Array.make n_nodes [];
     busy_until = Array.make n_nodes Time.zero;
+  }
+
+let executor net ~idx ~remote =
+  {
+    net;
+    idx;
+    remote;
+    queue = Plwg_util.Wheel.create ~dummy:ev_nil ();
+    now = Time.zero;
+    free_ev = ev_nil;
+    parallel = false;
+    trace_buf = [];
     sent = 0;
     delivered = 0;
     wire_dropped = 0;
@@ -107,29 +148,63 @@ let create ?obs ?(model = Model.default) ~seed ~n_nodes () =
     in_flight = 0;
   }
 
-let topology t = t.topology
-let model t = t.model
-let now t = t.now
-let rng t = t.rng
-(* The sim scheduler is a single deterministic loop, so all per-node
+let no_remote ~tick:_ ~src:_ ~dst:_ ~sent_at:_ _ = invalid_arg "Engine: a single executor owns every node"
+
+(* The sim scheduler is a single deterministic loop, so every node's
    draws can come from the engine's root stream: draw order is fixed by
    the schedule, and protocol draws interleaving with link-jitter draws
-   is exactly the pre-runtime-layer behaviour (traces stay byte-stable
-   across the refactor).  Concurrent backends cannot share one stream —
-   the domains backend gives each node an independent [Rng.stream]. *)
-let rng_node t _node = t.rng
-let obs t = t.obs
-let n_nodes t = Topology.n_nodes t.topology
-let nodes t = Topology.all_nodes t.topology
-let is_alive t node = Topology.is_alive t.topology node
+   is exactly the pre-runtime-layer behaviour (traces stay byte-stable).
+   Concurrent executors cannot share one stream, so the domains backend
+   builds its network with an indexed [Rng.stream] per node. *)
+let create ?obs ?model ~seed ~n_nodes () =
+  let root = Plwg_util.Rng.create ~seed in
+  executor (create_net ?obs ?model ~n_execs:1 ~n_nodes ~rng:(fun _ -> root) ()) ~idx:0 ~remote:no_remote
+
+let topology t = t.net.topology
+let model t = t.net.model
+let now t = t.now
+let rng_node t node = t.net.rngs.(node)
+let obs t = t.net.obs
+let n_nodes t = Topology.n_nodes t.net.topology
+let nodes t = Topology.all_nodes t.net.topology
+let is_alive t node = Topology.is_alive t.net.topology node
+let owns t node = t.net.n_execs = 1 || node mod t.net.n_execs = t.idx
+let set_parallel t parallel = t.parallel <- parallel
+
+let take_trace t =
+  let entries = List.rev t.trace_buf in
+  t.trace_buf <- [];
+  entries
 
 (* Instrumentation entry points.  The event is built inside a thunk so
    that when no sink is attached nothing is allocated or rendered; hot
-   paths additionally pre-check [t.observing] so even the thunk closure
-   is not allocated on a bare engine. *)
-let trace t make = match t.obs with None -> () | Some o -> Plwg_obs.Sink.emit o.Plwg_obs.sink ~at_us:t.now (make ())
-let count ?by t name = match t.obs with None -> () | Some o -> Plwg_obs.Metrics.incr ?by o.Plwg_obs.metrics name
-let observe t name v = match t.obs with None -> () | Some o -> Plwg_obs.Metrics.observe o.Plwg_obs.metrics name v
+   paths additionally pre-check [net.observing] so even the thunk
+   closure is not allocated on a bare engine. *)
+let trace t make =
+  match t.net.obs with
+  | None -> ()
+  | Some o ->
+      if t.parallel then t.trace_buf <- (t.now, make ()) :: t.trace_buf
+      else Plwg_obs.Sink.emit o.Plwg_obs.sink ~at_us:t.now (make ())
+
+let lock t = if t.parallel then Mutex.lock t.net.metrics_lock
+let unlock t = if t.parallel then Mutex.unlock t.net.metrics_lock
+
+let count ?by t name =
+  match t.net.obs with
+  | None -> ()
+  | Some o ->
+      lock t;
+      Plwg_obs.Metrics.incr ?by o.Plwg_obs.metrics name;
+      unlock t
+
+let observe t name v =
+  match t.net.obs with
+  | None -> ()
+  | Some o ->
+      lock t;
+      Plwg_obs.Metrics.observe o.Plwg_obs.metrics name v;
+      unlock t
 
 let alloc_ev t =
   let ev = t.free_ev in
@@ -162,25 +237,25 @@ let release_ev t ev =
 [@@zero_alloc_hot]
 
 let subscribe t node handler =
-  t.handlers.(node) <- handler :: t.handlers.(node);
-  t.handlers_dirty.(node) <- true
+  t.net.handlers.(node) <- handler :: t.net.handlers.(node);
+  t.net.handlers_dirty.(node) <- true
 
 let dispatch t ~sent_at ~src ~dst payload =
-  if Topology.is_alive t.topology dst then begin
+  if Topology.is_alive t.net.topology dst then begin
     t.delivered <- t.delivered + 1;
-    if t.observing then begin
+    if t.net.observing then begin
       count t "engine.delivered";
       trace t (fun () ->
           Plwg_obs.Event.Msg_delivered
             { src; dst; kind = Payload.to_string payload; latency_us = Time.diff t.now sent_at });
       observe t "engine.delivery_latency_us" (float_of_int (Time.diff t.now sent_at))
     end;
-    (if t.handlers_dirty.(dst) then begin
-       t.frozen.(dst) <- Array.of_list (List.rev t.handlers.(dst));
-       t.handlers_dirty.(dst) <- false
+    (if t.net.handlers_dirty.(dst) then begin
+       t.net.frozen.(dst) <- Array.of_list (List.rev t.net.handlers.(dst));
+       t.net.handlers_dirty.(dst) <- false
      end)
     [@alloc_ok "handler freeze: runs once per subscription change, not per message"];
-    let handlers = t.frozen.(dst) in
+    let handlers = t.net.frozen.(dst) in
     for i = 0 to Array.length handlers - 1 do
       handlers.(i) ~src payload
     done
@@ -190,9 +265,9 @@ let dispatch t ~sent_at ~src ~dst payload =
 (* A message that reached [dst]'s network interface queues through its
    CPU: service is FIFO and each message costs [proc_time]. *)
 let enqueue_cpu t ~sent_at ~src ~dst payload =
-  let start = max t.now t.busy_until.(dst) in
-  let finish = Time.add start t.model.Model.proc_time in
-  t.busy_until.(dst) <- finish;
+  let start = max t.now t.net.busy_until.(dst) in
+  let finish = Time.add start t.net.model.Model.proc_time in
+  t.net.busy_until.(dst) <- finish;
   let ev = alloc_ev t in
   ev.k <- Ev_cpu;
   ev.e_src <- src;
@@ -210,54 +285,60 @@ let metric_dropped_wire = "engine.dropped.wire"
 let metric_dropped_cut = "engine.dropped.cut"
 
 let drop t ~src ~dst ~reason ~metric payload =
-  if t.observing then begin
+  if t.net.observing then begin
     trace t (fun () -> Plwg_obs.Event.Msg_dropped { src; dst; kind = Payload.to_string payload; reason });
     count t metric
   end
 [@@zero_alloc_hot]
 
+(* Schedule a message's arrival at [dst]'s network interface.  [send]
+   calls it for the nodes this executor owns; the domains backend calls
+   it for the messages other executors hand over through its lanes. *)
+let arrive t ~tick ~src ~dst ~sent_at payload =
+  let ev = alloc_ev t in
+  ev.k <- Ev_arrive;
+  ev.e_src <- src;
+  ev.e_dst <- dst;
+  ev.e_sent_at <- sent_at;
+  ev.e_payload <- payload;
+  Plwg_util.Wheel.schedule t.queue ~tick ev
+[@@zero_alloc_hot]
+
+let note_sent t ~src ~dst payload =
+  t.sent <- t.sent + 1;
+  if t.net.observing then begin
+    count t "engine.sent";
+    trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload })
+  end
+[@@zero_alloc_hot]
+
 let send t ~src ~dst payload =
-  if Topology.is_alive t.topology src then
+  let net = t.net in
+  if Topology.is_alive net.topology src then
     if src = dst then begin
-      t.sent <- t.sent + 1;
+      note_sent t ~src ~dst payload;
       t.in_flight <- t.in_flight + 1;
-      if t.observing then begin
-        count t "engine.sent";
-        trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload })
-      end;
       enqueue_cpu t ~sent_at:t.now ~src ~dst payload
     end
-    else if not (Topology.reachable t.topology src dst) then begin
+    else if not (Topology.reachable net.topology src dst) then begin
       t.unreachable_dropped <- t.unreachable_dropped + 1;
       drop t ~src ~dst ~reason:"unreachable" ~metric:metric_dropped_unreachable payload
     end
-    else if t.model.Model.drop_prob > 0.0 && Plwg_util.Rng.bernoulli t.rng t.model.Model.drop_prob then begin
-      t.sent <- t.sent + 1;
+    else if net.model.Model.drop_prob > 0.0 && Plwg_util.Rng.bernoulli net.rngs.(src) net.model.Model.drop_prob
+    then begin
+      note_sent t ~src ~dst payload;
       t.wire_dropped <- t.wire_dropped + 1;
-      if t.observing then begin
-        count t "engine.sent";
-        trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload })
-      end;
       drop t ~src ~dst ~reason:"wire" ~metric:metric_dropped_wire payload
     end
     else begin
-      t.sent <- t.sent + 1;
+      note_sent t ~src ~dst payload;
       t.in_flight <- t.in_flight + 1;
-      if t.observing then begin
-        count t "engine.sent";
-        trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload })
-      end;
       let jitter =
-        if t.model.Model.link_jitter = 0 then 0 else Plwg_util.Rng.int t.rng (t.model.Model.link_jitter + 1)
+        if net.model.Model.link_jitter = 0 then 0 else Plwg_util.Rng.int net.rngs.(src) (net.model.Model.link_jitter + 1)
       in
-      let arrival = Time.add t.now (t.model.Model.link_base + jitter) in
-      let ev = alloc_ev t in
-      ev.k <- Ev_arrive;
-      ev.e_src <- src;
-      ev.e_dst <- dst;
-      ev.e_sent_at <- t.now;
-      ev.e_payload <- payload;
-      Plwg_util.Wheel.schedule t.queue ~tick:arrival ev
+      let arrival = Time.add t.now (net.model.Model.link_base + jitter) in
+      if owns t dst then arrive t ~tick:arrival ~src ~dst ~sent_at:t.now payload
+      else t.remote ~tick:arrival ~src ~dst ~sent_at:t.now payload
     end
 [@@zero_alloc_hot]
 
@@ -277,7 +358,7 @@ let make_timer t time guard action =
 let after t span action = make_timer t (Time.add t.now span) (fun () -> true) action
 
 let after_node t node span action =
-  make_timer t (Time.add t.now span) (fun () -> Topology.is_alive t.topology node) action
+  make_timer t (Time.add t.now span) (fun () -> Topology.is_alive t.net.topology node) action
 
 (* Fire-and-forget timers.  Most timers in the stack are never
    cancelled — protocol tick loops, delayed acks, workload drivers — so
@@ -303,34 +384,34 @@ let after_node_ t node span action =
 (* Node-affine fire-and-forget timer without a liveness guard: the
    action runs on the node's executor even while the node is crashed
    (self-rescheduling protocol loops guard their own tick with
-   [is_alive] so they survive a crash/recover cycle).  In the
-   single-executor sim this is exactly [after_]; a parallel backend
-   uses the node to route the timer to the owning domain. *)
+   [is_alive] so they survive a crash/recover cycle).  On one executor
+   this is exactly [after_]; a parallel backend calls it on the
+   executor that owns the node. *)
 let at_node_ t _node span action = after_ t span action
 
 (* Crash/recover act only on an actual state transition: crashing a
    crashed node or recovering a live one is a silent no-op, so random
    fault schedules can issue steps without tracking liveness. *)
 let crash t node =
-  if Topology.is_alive t.topology node then begin
-    Topology.crash t.topology node;
-    t.busy_until.(node) <- t.now;
+  if Topology.is_alive t.net.topology node then begin
+    Topology.crash t.net.topology node;
+    t.net.busy_until.(node) <- t.now;
     count t "engine.crashes";
     trace t (fun () -> Plwg_obs.Event.Node_crashed { node })
   end
 
-let on_recover t node hook = t.recover_hooks.(node) <- hook :: t.recover_hooks.(node)
+let on_recover t node hook = t.net.recover_hooks.(node) <- hook :: t.net.recover_hooks.(node)
 
 let recover t node =
-  if not (Topology.is_alive t.topology node) then begin
-    Topology.recover t.topology node;
+  if not (Topology.is_alive t.net.topology node) then begin
+    Topology.recover t.net.topology node;
     count t "engine.recoveries";
     trace t (fun () -> Plwg_obs.Event.Node_recovered { node });
-    List.iter (fun hook -> hook ()) (List.rev t.recover_hooks.(node))
+    List.iter (fun hook -> hook ()) (List.rev t.net.recover_hooks.(node))
   end
 
 let set_model t model =
-  t.model <- model;
+  t.net.model <- model;
   count t "engine.model_swaps";
   trace t (fun () ->
       Plwg_obs.Event.Model_changed
@@ -342,12 +423,12 @@ let set_model t model =
         })
 
 let set_partition t classes =
-  Topology.set_partition t.topology classes;
+  Topology.set_partition t.net.topology classes;
   count t "engine.partitions";
   trace t (fun () -> Plwg_obs.Event.Partition_changed { classes })
 
 let heal t =
-  Topology.heal t.topology;
+  Topology.heal t.net.topology;
   count t "engine.heals";
   trace t (fun () -> Plwg_obs.Event.Healed)
 
@@ -366,7 +447,7 @@ let exec t ev =
       let src = ev.e_src and dst = ev.e_dst and sent_at = ev.e_sent_at and payload = ev.e_payload in
       release_ev t ev;
       (* A partition installed while the message was in flight cuts it. *)
-      if Topology.reachable t.topology src dst then enqueue_cpu t ~sent_at ~src ~dst payload
+      if Topology.reachable t.net.topology src dst then enqueue_cpu t ~sent_at ~src ~dst payload
       else begin
         t.in_flight <- t.in_flight - 1;
         t.unreachable_dropped <- t.unreachable_dropped + 1;
@@ -379,7 +460,7 @@ let exec t ev =
   | Ev_timer_node ->
       let node = ev.e_src and action = ev.e_action in
       release_ev t ev;
-      if Topology.is_alive t.topology node then action ()
+      if Topology.is_alive t.net.topology node then action ()
   | Ev_free -> assert false (* popped a released record: pool corruption *)
 [@@zero_alloc_hot]
 

@@ -1,11 +1,17 @@
-(** Deterministic discrete-event simulation engine — the reference
-    implementation of the runtime signature ({!Plwg_runtime.Rt.S}).
+(** Discrete-event delivery core: the reference implementation of the
+    runtime signature ({!Plwg_runtime.Rt.S}) and the executor both
+    runtime backends run.
 
-    The engine owns simulated time, the event queue, the network
-    topology and the cost model.  Protocol layers never see this module
-    directly (the [runtime-boundary] lint enforces it): they code
-    against [Plwg_runtime.Rt] and reach a sim through
-    [Plwg_runtime.Sim_rt.rt].
+    The state is split in two.  A {!net} is the network every executor
+    reads: the topology, the cost model, the handler tables, per-node
+    CPU queues, recover hooks and per-node generators.  An executor
+    ({!t}) owns a clock, a timing wheel of pooled events and the
+    counters of the work it ran.  The sim is one executor over all
+    nodes; the domains backend runs one per domain over a shared net.
+    Protocol layers never see this module directly (the
+    [runtime-boundary] lint enforces it): they code against
+    [Plwg_runtime.Rt] and reach a backend through [Sim_rt.rt] or
+    [Domains_rt.rt].
 
     This interface is the {e sim-private} one: it exports the raw fault
     transitions ([crash] … [set_model]) that only {!Fault} may call.
@@ -13,20 +19,24 @@
     without them, so every external fault injection goes through the
     validated, declarative {!Fault} API.
 
-    Determinism: events are ordered by [(time, insertion sequence)], all
-    randomness comes from the engine's seeded {!Plwg_util.Rng} streams,
-    and handlers fire in subscription order — so a run is a pure
-    function of the seed and the fault script. *)
+    Determinism: an executor orders events by [(time, insertion
+    sequence)], all randomness comes from the net's seeded
+    {!Plwg_util.Rng} streams, and handlers fire in subscription order —
+    so a sim run is a pure function of the seed and the fault script. *)
 
 type t
+(** One executor over a {!net}. *)
+
+type net
 
 type cancel = unit -> unit
 (** Cancels a pending timer; idempotent. *)
 
 val create : ?obs:Plwg_obs.t -> ?model:Model.t -> seed:int -> n_nodes:int -> unit -> t
-(** [?obs] attaches an observability root (trace sink + metrics
-    registry).  Without it, every instrumentation site in the stack is a
-    single branch on [None]. *)
+(** The sim: one executor over a fresh net whose every node draws from
+    one root stream of [seed].  [?obs] attaches an observability root
+    (trace sink + metrics registry).  Without it, every instrumentation
+    site in the stack is a single branch on [None]. *)
 
 (** {1 Runtime surface}
 
@@ -40,9 +50,12 @@ val nodes : t -> Node_id.t list
 val is_alive : t -> Node_id.t -> bool
 
 val rng_node : t -> Node_id.t -> Plwg_util.Rng.t
-(** The node's private generator: an independent {!Plwg_util.Rng.stream}
-    of the engine seed, identical across runtime backends.  Layers on
-    the same node share it (or [Rng.split] it once at setup). *)
+(** The node's generator: the net's slot for the node.  On the sim
+    every slot is the one root stream, which also draws link jitter and
+    wire drops, so draws interleave in schedule order; a net built by
+    {!create_net} with an indexed {!Plwg_util.Rng.stream} per node gives
+    each node an independent stream.  Layers on the same node share it
+    (or [Rng.split] it once at setup). *)
 
 val subscribe : t -> Node_id.t -> (src:Node_id.t -> Payload.t -> unit) -> unit
 (** Register a receive handler for a node.  Multiple layers may
@@ -98,10 +111,6 @@ val model : t -> Model.t
 
 val obs : t -> Plwg_obs.t option
 
-val rng : t -> Plwg_util.Rng.t
-(** The engine's root generator — wire-level randomness (link jitter,
-    wire drops).  Protocol layers must use {!rng_node} instead. *)
-
 val after : t -> Time.span -> (unit -> unit) -> cancel
 (** Global timer (fault scripts, measurements); fires unconditionally. *)
 
@@ -125,6 +134,39 @@ val set_model : t -> Model.t -> unit
 (** Swap the network cost model mid-run (loss bursts, latency spikes).
     Messages already in flight keep the latency drawn at send time. *)
 
+(** {2 Several executors over one net}
+
+    A parallel backend builds one {!net} and one executor per worker;
+    executor [i] owns the nodes [n] with [n mod n_execs = i].  Wiring,
+    fault steps and reads of an executor's counters are only legal
+    while every executor is quiescent. *)
+
+val create_net :
+  ?obs:Plwg_obs.t -> ?model:Model.t -> n_execs:int -> n_nodes:int -> rng:(Node_id.t -> Plwg_util.Rng.t) -> unit -> net
+(** [rng n] is node [n]'s generator: it draws the node's protocol
+    randomness and the link jitter and wire drops of its sends. *)
+
+val executor :
+  net -> idx:int -> remote:(tick:Time.t -> src:Node_id.t -> dst:Node_id.t -> sent_at:Time.t -> Payload.t -> unit) -> t
+(** Executor [idx] of the net.  A [send] whose destination another
+    executor owns passes the arrival to [remote] instead of the local
+    wheel; the owner must {!arrive} it before its clock reaches
+    [tick]. *)
+
+val arrive : t -> tick:Time.t -> src:Node_id.t -> dst:Node_id.t -> sent_at:Time.t -> Payload.t -> unit
+(** Schedule a message handed over by another executor: it reaches
+    [dst] at [tick], is cut if [dst] is unreachable then, and queues
+    through [dst]'s CPU. *)
+
+val set_parallel : t -> bool -> unit
+(** While set, the executor buffers its trace events (see
+    {!take_trace}) and takes the net's lock for metrics, so executors
+    can run on several domains at once. *)
+
+val take_trace : t -> (Time.t * Plwg_obs.Event.t) list
+(** The events traced while parallel, oldest first; clears the
+    buffer. *)
+
 (** {2 Execution} *)
 
 val run : t -> until:Time.t -> unit
@@ -146,4 +188,6 @@ val in_flight : t -> int
 (** Messages accepted onto the wire or a CPU queue and not yet
     delivered or dropped.  Fault-free, [sent = delivered + in_flight]
     at all times, so running until this reaches zero gives a moment
-    where [sent = delivered] exactly (the macro bench's drain). *)
+    where [sent = delivered] exactly (the macro bench's drain).  With
+    several executors the identities hold for the sums: the sender's
+    executor counts a message in, the receiver's counts it out. *)

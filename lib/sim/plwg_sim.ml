@@ -1,9 +1,8 @@
 (* Public face of the simulation library.  The interface narrows
-   [Engine] to the runtime surface plus sim driver controls: the raw
-   fault transitions (crash / set_partition / ...) and the root jitter
-   generator stay private to the library, so external fault injection
-   goes through the validated [Fault] API and external randomness
-   through per-node [rng_node] streams. *)
+   [Engine] to the runtime surface, sim driver controls and the
+   executor API parallel backends build on: the raw fault transitions
+   (crash / set_partition / ...) stay private to the library, so
+   external fault injection goes through the validated [Fault] API. *)
 
 module Time = Time
 module Node_id = Node_id

@@ -2,9 +2,9 @@
 
     Base types ({!Time}, {!Node_id}, {!Payload}, {!Model}, {!Topology})
     are re-exported in full.  {!Engine} is narrowed to the runtime
-    surface (what {!Plwg_runtime.Sim_rt} adapts) plus sim driver
-    controls: the raw fault transitions and the root wire-randomness
-    generator are sim-private — only [lib/sim/fault.ml] sees them — so
+    surface (what {!Plwg_runtime.Sim_rt} adapts), sim driver controls
+    and the executor API the domains backend builds on: the raw fault
+    transitions are sim-private — only [lib/sim/fault.ml] sees them — so
     every external fault injection goes through the validated,
     declarative {!Fault} API and is traced uniformly. *)
 
@@ -16,6 +16,10 @@ module Topology : module type of Topology
 
 module Engine : sig
   type t
+  (** One executor over a {!net}. *)
+
+  type net
+  (** The network state every executor reads. *)
 
   type cancel = unit -> unit
   (** Cancels a pending timer; idempotent. *)
@@ -37,9 +41,9 @@ module Engine : sig
   val is_alive : t -> Node_id.t -> bool
 
   val rng_node : t -> Node_id.t -> Plwg_util.Rng.t
-  (** The node's private generator: an independent
-      {!Plwg_util.Rng.stream} of the engine seed, identical across
-      runtime backends. *)
+  (** The node's generator: on the sim, the one root stream every node
+      and the wire share; on a net built with an indexed
+      {!Plwg_util.Rng.stream} per node, the node's own stream. *)
 
   val subscribe : t -> Node_id.t -> (src:Node_id.t -> Payload.t -> unit) -> unit
   (** Register a receive handler for a node; handlers fire in
@@ -95,6 +99,29 @@ module Engine : sig
 
   val after_ : t -> Time.span -> (unit -> unit) -> unit
   (** [after] without the cancel capability. *)
+
+  (** {2 Several executors over one net}
+
+      For a parallel backend: executor [i] owns the nodes [n] with
+      [n mod n_execs = i].  Wiring, fault steps and counter reads are
+      only legal while every executor is quiescent. *)
+
+  val create_net :
+    ?obs:Plwg_obs.t -> ?model:Model.t -> n_execs:int -> n_nodes:int -> rng:(Node_id.t -> Plwg_util.Rng.t) -> unit -> net
+
+  val executor :
+    net -> idx:int -> remote:(tick:Time.t -> src:Node_id.t -> dst:Node_id.t -> sent_at:Time.t -> Payload.t -> unit) -> t
+  (** A [send] to a node another executor owns goes to [remote]; the
+      owner must {!arrive} it before its clock reaches [tick]. *)
+
+  val arrive : t -> tick:Time.t -> src:Node_id.t -> dst:Node_id.t -> sent_at:Time.t -> Payload.t -> unit
+
+  val set_parallel : t -> bool -> unit
+  (** While set, traces buffer for {!take_trace} and metrics take the
+      net's lock. *)
+
+  val take_trace : t -> (Time.t * Plwg_obs.Event.t) list
+  (** Buffered trace events, oldest first; clears the buffer. *)
 
   val run : t -> until:Time.t -> unit
   (** Execute all events with time <= [until]; afterwards

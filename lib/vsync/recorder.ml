@@ -1,13 +1,22 @@
 open Plwg_sim
 open Types
 
-type t = { mutable trace : (Time.t * Hwg.event) list (* newest first *) }
+(* One recorder may hook the nodes of every domain of a parallel
+   backend, so events are pushed with a compare-and-set: no lock, and
+   each node's events stay in the order its executor produced them. *)
+type t = {
+  trace : (Time.t * Hwg.event) list Atomic.t
+      [@shared_cell "pushed by compare-and-set from every node's executor; read after the run"];
+      (* newest first *)
+}
 
-let create () = { trace = [] }
+let create () = { trace = Atomic.make [] }
 
-let hook t time event = t.trace <- (time, event) :: t.trace
+let rec hook t time event =
+  let seen = Atomic.get t.trace in
+  if not (Atomic.compare_and_set t.trace seen ((time, event) :: seen)) then hook t time event
 
-let events t = List.rev t.trace
+let events t = List.rev (Atomic.get t.trace)
 
 let installs t =
   List.filter_map (function _, Hwg.Installed { node; view } -> Some (node, view) | _ -> None) (events t)

@@ -18,7 +18,10 @@ val hook : t -> Time.t -> Hwg.event -> unit
     node that should be traced. *)
 
 val events : t -> (Time.t * Hwg.event) list
-(** All recorded events, oldest first. *)
+(** All recorded events, oldest first.  [hook] is safe to call from
+    several domains at once; each node's events keep the order its
+    executor produced them, while events of nodes on different domains
+    interleave in arrival order. *)
 
 val installs_of : t -> node:Node_id.t -> group:Gid.t -> View.t list
 (** Views installed by a node for a group, in order. *)

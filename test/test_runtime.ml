@@ -4,8 +4,12 @@
 
 open Plwg_sim
 module Rt = Plwg_runtime.Rt
+module Sim_rt = Plwg_runtime.Sim_rt
 module Domains_rt = Plwg_runtime_domains.Domains_rt
 module Conformance = Plwg_harness.Conformance
+module Cluster = Plwg_harness.Cluster
+module Hwg = Plwg_vsync.Hwg
+module Recorder = Plwg_vsync.Recorder
 
 type Payload.t += Ping of int
 
@@ -16,14 +20,20 @@ type Payload.t += Ping of int
 let test_send_delivers () =
   let b = Domains_rt.create ~model:Model.lossless ~n_domains:2 ~seed:5 ~n_nodes:2 () in
   let rt = Domains_rt.rt b in
-  let got = ref [] in
-  Rt.subscribe rt 1 (fun ~src payload -> match payload with Ping i -> got := (src, i) :: !got | _ -> ());
+  let got = ref [] and ran_on = ref [] in
+  Rt.subscribe rt 1 (fun ~src payload ->
+      ran_on := Domain.self () :: !ran_on;
+      match payload with Ping i -> got := (src, i) :: !got | _ -> ());
   (* wiring-time sends from the main domain, one per destination domain *)
   Rt.send rt ~src:0 ~dst:1 (Ping 1);
   Rt.send rt ~src:1 ~dst:1 (Ping 2);
+  let owner = ref None in
+  Rt.at_node_ rt 1 (Time.ms 5) (fun () -> owner := Some (Domain.self ()));
   Domains_rt.run b ~until:(Time.ms 10);
   (* the self-send skips the link, so it delivers first; newest first *)
   Alcotest.(check (list (pair int int))) "delivered" [ (0, 1); (1, 2) ] !got;
+  Alcotest.(check bool) "both deliveries ran on the domain that owns n1" true
+    (List.for_all (fun d -> Some d = !owner) !ran_on);
   Alcotest.(check int) "stats.delivered" 2 (Domains_rt.stats b).Domains_rt.delivered;
   Alcotest.(check int) "drained" 0 (Domains_rt.in_flight b)
 
@@ -80,24 +90,30 @@ let test_cancel () =
   Domains_rt.run b ~until:(Time.ms 10);
   Alcotest.(check bool) "cancelled timer never fired" false !fired
 
-let test_rng_streams_match_backends () =
-  (* the same node draws the same stream on both backends *)
-  let sim = Plwg_runtime.Sim_rt.create ~model:Model.lossless ~seed:77 ~n_nodes:3 () in
-  let dom = Domains_rt.create ~model:Model.default ~n_domains:2 ~seed:77 ~n_nodes:3 () in
+let test_rng_streams_per_backend () =
+  let n_nodes = 3 in
   let draws rt node = List.init 4 (fun _ -> Plwg_util.Rng.int (Rt.rng_node rt node) 1_000_000) in
-  (* the sim aliases every node stream to its root schedule stream; the
-     domains backend gives node [n] the indexed stream [n].  What must
-     hold on both: a node's future draws are a function of its own past
-     draw count only, so two fresh same-seed backends agree per node. *)
-  let dom' = Domains_rt.create ~model:Model.default ~n_domains:3 ~seed:77 ~n_nodes:3 () in
-  List.iter
-    (fun node ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "domains n%d draws are domain-count independent" node)
-        (draws (Domains_rt.rt dom) node)
-        (draws (Domains_rt.rt dom') node))
-    [ 0; 1; 2 ];
-  ignore (draws (Plwg_runtime.Sim_rt.rt sim) 0)
+  (* the sim aliases one root stream in every node slot: node 1 picks up
+     where node 0 stopped, and together they replay the seed's stream *)
+  let sim = Sim_rt.rt (Sim_rt.create ~model:Model.lossless ~seed:77 ~n_nodes ()) in
+  let root = Plwg_util.Rng.create ~seed:77 in
+  let expect = List.init 8 (fun _ -> Plwg_util.Rng.int root 1_000_000) in
+  Alcotest.(check bool) "sim: one stream object" true (Rt.rng_node sim 0 == Rt.rng_node sim 2);
+  let first = draws sim 0 in
+  Alcotest.(check (list int)) "sim: nodes 0 then 1 draw the root stream" expect (first @ draws sim 1);
+  (* the domains backend gives node [n] the indexed stream [n], whatever
+     the domain count *)
+  let dom n_domains = Domains_rt.rt (Domains_rt.create ~model:Model.default ~n_domains ~seed:77 ~n_nodes ()) in
+  let two = dom 2 and three = dom 3 in
+  for node = 0 to n_nodes - 1 do
+    let fresh = Plwg_util.Rng.stream ~seed:77 node in
+    let expect = List.init 4 (fun _ -> Plwg_util.Rng.int fresh 1_000_000) in
+    Alcotest.(check (list int)) (Printf.sprintf "domains: n%d on 2 domains draws stream %d" node node) expect
+      (draws two node);
+    Alcotest.(check (list int)) (Printf.sprintf "domains: n%d on 3 domains draws stream %d" node node) expect
+      (draws three node)
+  done;
+  Alcotest.(check bool) "domains: nodes draw distinct streams" false (draws two 0 = draws two 1)
 
 exception Boom of int
 
@@ -194,6 +210,149 @@ let test_equal_arrival_order () =
   Alcotest.(check (list (pair int int))) "served in (src, seq) order" expect (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
+(* Faults on the domains backend, against the sim                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One fault script, driven on either backend: faults apply between
+   runs, which on the domains backend is a window boundary. *)
+type driver = {
+  rt : Rt.t;
+  run : Time.t -> unit;
+  apply : Fault.step -> unit;
+  stats : unit -> Sim_rt.stats;
+  in_flight : unit -> int;
+}
+
+let sim_driver ~model ~seed ~n_nodes =
+  let e = Sim_rt.create ~model ~seed ~n_nodes () in
+  {
+    rt = Sim_rt.rt e;
+    run = (fun until -> Sim_rt.run e ~until);
+    apply = Fault.apply e;
+    stats = (fun () -> Sim_rt.stats e);
+    in_flight = (fun () -> Sim_rt.in_flight e);
+  }
+
+let domains_driver ~n_domains ~model ~seed ~n_nodes =
+  let b = Domains_rt.create ~model ~n_domains ~seed ~n_nodes () in
+  {
+    rt = Domains_rt.rt b;
+    run = (fun until -> Domains_rt.run b ~until);
+    apply = Domains_rt.apply b;
+    stats = (fun () -> Domains_rt.stats b);
+    in_flight = (fun () -> Domains_rt.in_flight b);
+  }
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (s : Sim_rt.stats) ->
+      Format.fprintf ppf "{sent=%d; delivered=%d; wire_dropped=%d; unreachable_dropped=%d}" s.sent s.delivered
+        s.wire_dropped s.unreachable_dropped)
+    ( = )
+
+(* Node 0 pings nodes 1-3 at 1, 2 and 3 ms.  The partition lands while
+   the first burst is on the wire (cut on arrival at 2 and 3), the
+   second burst meets it at send, and the third follows the heal. *)
+let partition_script d =
+  let log = Array.make 4 [] in
+  for n = 0 to 3 do
+    Rt.subscribe d.rt n (fun ~src payload -> match payload with Ping i -> log.(n) <- (src, i) :: log.(n) | _ -> ())
+  done;
+  List.iter
+    (fun k ->
+      Rt.at_node_ d.rt 0 (Time.ms k) (fun () ->
+          for dst = 1 to 3 do
+            Rt.send d.rt ~src:0 ~dst (Ping k)
+          done))
+    [ 1; 2; 3 ];
+  d.run (Time.us 1100);
+  d.apply (Fault.Partition [ [ 0; 1 ]; [ 2; 3 ] ]);
+  d.run (Time.us 2500);
+  d.apply Fault.Heal;
+  d.run (Time.ms 4);
+  (Array.map List.rev log, d.stats (), d.in_flight ())
+
+let test_partition_heal n_domains () =
+  let model = Model.lossless in
+  let log, stats, in_flight = partition_script (domains_driver ~n_domains ~model ~seed:4 ~n_nodes:4) in
+  Alcotest.(check (list (pair int int))) "same side: every burst" [ (0, 1); (0, 2); (0, 3) ] log.(1);
+  Alcotest.(check (list (pair int int))) "across the cut: after the heal only" [ (0, 3) ] log.(2);
+  Alcotest.(check (list (pair int int))) "across the cut, other node" [ (0, 3) ] log.(3);
+  let expect = { Sim_rt.sent = 7; delivered = 5; wire_dropped = 0; unreachable_dropped = 4 } in
+  Alcotest.check stats_t "2 cut on arrival, 2 dropped at send" expect stats;
+  Alcotest.(check int) "drained" 0 in_flight;
+  let _, sim_stats, sim_in_flight = partition_script (sim_driver ~model ~seed:4 ~n_nodes:4) in
+  Alcotest.check stats_t "stats equal the sim's" sim_stats stats;
+  Alcotest.(check int) "in_flight equals the sim's" sim_in_flight in_flight
+
+(* Node 1 crashes at 1 ms, with a ping from node 0 on the wire and three
+   kinds of timer pending; it recovers at 3 ms. *)
+let crash_script d =
+  let got = ref [] and fired = ref [] and hooks = ref [] and alive = ref [] in
+  Rt.subscribe d.rt 1 (fun ~src:_ payload -> match payload with Ping i -> got := i :: !got | _ -> ());
+  Rt.on_recover d.rt 1 (fun () -> hooks := "first" :: !hooks);
+  Rt.on_recover d.rt 1 (fun () -> hooks := "second" :: !hooks);
+  let (_ : Rt.cancel) = Rt.after_node d.rt 1 (Time.ms 2) (fun () -> fired := "after_node" :: !fired) in
+  Rt.after_node_ d.rt 1 (Time.ms 2) (fun () -> fired := "after_node_" :: !fired);
+  Rt.at_node_ d.rt 1 (Time.ms 2) (fun () -> fired := "at_node_" :: !fired);
+  List.iter
+    (fun (at, k) -> Rt.at_node_ d.rt 0 at (fun () -> Rt.send d.rt ~src:0 ~dst:1 (Ping k)))
+    [ (Time.us 900, 1); (Time.ms 2, 2); (Time.ms 4, 3) ];
+  d.run (Time.ms 1);
+  d.apply (Fault.Crash 1);
+  alive := Rt.is_alive d.rt 1 :: !alive;
+  d.run (Time.ms 3);
+  let hooks_while_down = !hooks in
+  d.apply (Fault.Recover 1);
+  alive := Rt.is_alive d.rt 1 :: !alive;
+  d.run (Time.ms 5);
+  (List.rev !got, List.rev !fired, hooks_while_down, List.rev !hooks, List.rev !alive, d.stats (), d.in_flight ())
+
+let test_crash_recover n_domains () =
+  let model = Model.lossless in
+  let got, fired, hooks_down, hooks, alive, stats, in_flight =
+    crash_script (domains_driver ~n_domains ~model ~seed:4 ~n_nodes:4)
+  in
+  Alcotest.(check (list bool)) "is_alive: down, then up" [ false; true ] alive;
+  Alcotest.(check (list int)) "only the post-recovery ping is delivered" [ 3 ] got;
+  Alcotest.(check (list string)) "guarded timers skipped, the unguarded one fires" [ "at_node_" ] fired;
+  Alcotest.(check (list string)) "no hook while down" [] hooks_down;
+  Alcotest.(check (list string)) "hooks in registration order" [ "first"; "second" ] hooks;
+  let _, _, _, _, _, sim_stats, sim_in_flight = crash_script (sim_driver ~model ~seed:4 ~n_nodes:4) in
+  Alcotest.check stats_t "stats equal the sim's" sim_stats stats;
+  Alcotest.(check int) "in_flight equals the sim's" sim_in_flight in_flight
+
+(* A Cluster.wire HWG group of four, split 2/2 and healed. *)
+let hwg_partition_heal d =
+  let parts = Cluster.wire d.rt in
+  let group = { Plwg_vsync.Types.Gid.seq = 1; origin = 0 } in
+  let members node =
+    match Hwg.view_of parts.Cluster.p_hwgs.(node) group with Some v -> v.Plwg_vsync.Types.View.members | None -> []
+  in
+  Array.iter (fun hwg -> Hwg.join hwg group) parts.Cluster.p_hwgs;
+  d.run (Time.sec 4);
+  d.apply (Fault.Partition [ [ 0; 1 ]; [ 2; 3 ] ]);
+  d.run (Time.sec 8);
+  let split = (members 0, members 2) in
+  d.apply Fault.Heal;
+  d.run (Time.sec 13);
+  (split, List.init 4 members, Recorder.check_all parts.Cluster.p_recorder, d.stats ())
+
+let test_hwg_partition_heal n_domains () =
+  let model = Model.default in
+  let split, merged, violations, _ = hwg_partition_heal (domains_driver ~n_domains ~model ~seed:6 ~n_nodes:4) in
+  Alcotest.(check (pair (list int) (list int))) "two views while split" ([ 0; 1 ], [ 2; 3 ]) split;
+  Alcotest.(check (list (list int))) "one merged view" (List.init 4 (fun _ -> [ 0; 1; 2; 3 ])) merged;
+  Alcotest.(check (list string)) "virtual synchrony holds" [] violations;
+  let _, sim_merged, _, _ = hwg_partition_heal (sim_driver ~model ~seed:6 ~n_nodes:4) in
+  Alcotest.(check (list (list int))) "merged view equals the sim's" sim_merged merged
+
+let test_faulted_runs_repeat n_domains () =
+  let run () = hwg_partition_heal (domains_driver ~n_domains ~model:Model.default ~seed:6 ~n_nodes:4) in
+  let _, _, _, a = run () and _, _, _, b = run () in
+  Alcotest.check stats_t "same seed, same stats" a b
+
+(* ------------------------------------------------------------------ *)
 (* Conformance: the sim as oracle                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -223,7 +382,7 @@ let suite =
     Alcotest.test_case "mid-run echo across domains" `Quick test_cross_domain_send_mid_run;
     Alcotest.test_case "node timers tick and the clock resumes" `Quick test_timers_and_clock;
     Alcotest.test_case "after_node cancel" `Quick test_cancel;
-    Alcotest.test_case "per-node rng streams are backend-stable" `Quick test_rng_streams_match_backends;
+    Alcotest.test_case "rng: sim aliases, domains n-independent" `Quick test_rng_streams_per_backend;
     Alcotest.test_case "diff detects divergence" `Quick test_diff_detects_divergence;
     Alcotest.test_case "conformance: seed 1, 2 domains" `Slow (test_conformance 1);
     Alcotest.test_case "conformance: seed 13, 2 domains" `Slow (test_conformance 13);
@@ -234,4 +393,12 @@ let suite =
     Alcotest.test_case "runs split below the window, 2 domains" `Quick (test_split_runs 2);
     Alcotest.test_case "runs split below the window, 3 domains" `Quick (test_split_runs 3);
     Alcotest.test_case "equal-arrival fold order" `Quick test_equal_arrival_order;
+    Alcotest.test_case "partition and heal, 2 domains" `Quick (test_partition_heal 2);
+    Alcotest.test_case "partition and heal, 3 domains" `Quick (test_partition_heal 3);
+    Alcotest.test_case "crash and recover, 2 domains" `Quick (test_crash_recover 2);
+    Alcotest.test_case "crash and recover, 3 domains" `Quick (test_crash_recover 3);
+    Alcotest.test_case "HWG partition/heal as on sim, 2 domains" `Quick (test_hwg_partition_heal 2);
+    Alcotest.test_case "HWG partition/heal as on sim, 3 domains" `Quick (test_hwg_partition_heal 3);
+    Alcotest.test_case "faulted runs repeat, 2 domains" `Quick (test_faulted_runs_repeat 2);
+    Alcotest.test_case "faulted runs repeat, 3 domains" `Quick (test_faulted_runs_repeat 3);
   ]
