@@ -105,12 +105,8 @@ let stress_cmd =
     let trace_oc = Option.map open_out trace in
     for i = 0 to runs - 1 do
       let seed = seed + (37 * i) in
-      let obs =
-        if trace <> None || metrics then
-          Some { Plwg_obs.sink = Plwg_obs.Sink.create (); metrics = shared_metrics }
-        else None
-      in
-      let stack = Plwg_harness.Stack.create ?obs ~mode:Plwg_harness.Stack.Dynamic ~seed ~n_app () in
+      let obs = { Plwg_obs.sink = Plwg_obs.Sink.create (); metrics = shared_metrics } in
+      let stack = Plwg_harness.Stack.create ~obs ~mode:Plwg_harness.Stack.Dynamic ~seed ~n_app () in
       let group = Plwg.Service.fresh_gid stack.Plwg_harness.Stack.services.(0) in
       Array.iter (fun s -> Plwg.Service.join s group) stack.Plwg_harness.Stack.services;
       Plwg_harness.Stack.run stack (Time.sec 12);
@@ -142,23 +138,19 @@ let stress_cmd =
           0
           (stack.Plwg_harness.Stack.app_nodes @ stack.Plwg_harness.Stack.server_nodes)
       in
+      (match trace_oc with Some oc -> Plwg_obs.Sink.dump_jsonl obs.Plwg_obs.sink oc | None -> ());
+      let n_nodes = n_app + List.length stack.Plwg_harness.Stack.server_nodes in
       let trace_violations =
-        match obs with
-        | None -> []
-        | Some o ->
-            (match trace_oc with Some oc -> Plwg_obs.Sink.dump_jsonl o.Plwg_obs.sink oc | None -> ());
-            let entries = Plwg_obs.Sink.to_list o.Plwg_obs.sink in
-            let n_nodes = n_app + List.length stack.Plwg_harness.Stack.server_nodes in
-            (* reconcile order is scripted only in the scenario command;
-               random schedules merge in whatever order traffic dictates *)
-            Plwg_harness.Trace_check.check_flush_pairing ~allow_open:true entries
-            @ Plwg_harness.Trace_check.check_no_cross_partition_delivery ~n_nodes entries
+        (* reconcile order is scripted only in the scenario command;
+           random schedules merge in whatever order traffic dictates *)
+        Plwg_harness.Trace_check.check_sink
+          (fun entries ->
+            Plwg_harness.Trace_check.check_vs entries
+            @ Plwg_harness.Trace_check.check_flush_pairing ~allow_open:true entries
+            @ Plwg_harness.Trace_check.check_no_cross_partition_delivery ~n_nodes entries)
+          obs.Plwg_obs.sink
       in
-      let ok =
-        Plwg_harness.Stack.lwg_converged stack group
-        && List.is_empty (Plwg_vsync.Recorder.check_all stack.Plwg_harness.Stack.recorder)
-        && List.is_empty trace_violations
-      in
+      let ok = Plwg_harness.Stack.lwg_converged stack group && List.is_empty trace_violations in
       Printf.printf "seed %-6d %s  (peak unacked %d)\n%!" seed (if ok then "ok" else "FAILED") peak_unacked;
       List.iter (fun v -> Printf.printf "        trace: %s\n" v) trace_violations;
       if not ok then incr failures
@@ -328,10 +320,34 @@ let conformance_cmd =
           virtual-synchrony invariants on both.")
     Term.(const run $ seed_arg $ domains_arg)
 
+(* ---------------- check ---------------- *)
+
+let check_cmd =
+  let file_arg =
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A JSON Lines trace, as written by --trace.")
+  in
+  let run file =
+    let entries = Plwg_obs.Sink.load_file file in
+    let n_nodes = Plwg_harness.Trace_check.n_nodes_of entries in
+    match Plwg_harness.Trace_check.check_all ~allow_open:true ~n_nodes entries with
+    | [] -> Printf.printf "check: %d entries, %d nodes, 0 violations\n" (List.length entries) n_nodes
+    | violations ->
+        List.iter (fun v -> Printf.printf "violation: %s\n" v) violations;
+        Printf.printf "check: %d entries, %d nodes, %d violations\n" (List.length entries) n_nodes
+          (List.length violations);
+        exit 1
+  in
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:
+         "Replay a dumped trace through every invariant offline: virtual synchrony at both group layers, flush \
+          pairing (open flushes allowed), no DATA across a partition, and the Section-6 reconcile order.")
+    Term.(const run $ file_arg)
+
 let main_cmd =
   let doc = "Partitionable Light-Weight Groups (Rodrigues & Guo, ICDCS 2000) - reproduction driver" in
   Cmd.group
     (Cmd.info "plwg" ~version:"1.0.0" ~doc)
-    [ figure2_cmd; scenario_cmd; ablation_cmd; stress_cmd; chaos_cmd; conformance_cmd ]
+    [ figure2_cmd; scenario_cmd; ablation_cmd; stress_cmd; chaos_cmd; conformance_cmd; check_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

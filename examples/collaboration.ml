@@ -92,6 +92,6 @@ let () =
   (match Service.view_of services.(0) doc_edits with
   | Some view -> Format.printf "  design-doc members now %a@." Node_id.pp_list view.View.members
   | None -> ());
-  match Plwg_vsync.Recorder.check_all stack.Stack.recorder with
+  match Stack.check_vs stack with
   | [] -> Format.printf "virtual-synchrony invariants: OK@."
   | violations -> List.iter print_endline violations

@@ -35,8 +35,7 @@ let () =
           match payload with Note text -> Format.printf "      [n%d] <%a> %s@." node Node_id.pp src text | _ -> ());
     }
   in
-  let obs = Plwg_obs.create () in
-  let stack = Stack.create ~obs ~mode:Stack.Dynamic ~callbacks ~seed:33 ~n_app:4 () in
+  let stack = Stack.create ~mode:Stack.Dynamic ~callbacks ~seed:33 ~n_app:4 () in
   let services = stack.Stack.services in
   let group = Service.fresh_gid services.(0) in
 
@@ -81,15 +80,12 @@ let () =
   Service.send services.(1) group (Note "everyone sees this");
   Stack.run stack (Time.sec 1);
 
-  let entries = Plwg_obs.Sink.to_list obs.Plwg_obs.sink in
+  let entries = Plwg_harness.Trace_check.entries stack.Stack.obs.Plwg_obs.sink in
   Format.printf "== the trace recorded the Section-6 reconciliation sequence:@.";
   List.iter
     (fun step -> Format.printf "      %s@." (Plwg_obs.Event.reconcile_step_to_string step))
     (Plwg_harness.Trace_check.reconcile_sequence entries);
   let n_nodes = Array.length services + List.length stack.Stack.server_nodes in
-  (match Plwg_harness.Trace_check.check_all ~n_nodes entries with
-  | [] -> Format.printf "trace invariants (flush pairing, no cross-partition DATA): OK@."
-  | violations -> List.iter print_endline violations);
-  match Plwg_vsync.Recorder.check_all stack.Stack.recorder with
-  | [] -> Format.printf "virtual-synchrony invariants: OK@."
+  match Plwg_harness.Trace_check.check_all ~n_nodes entries with
+  | [] -> Format.printf "trace invariants (virtual synchrony, flush pairing, no cross-partition DATA): OK@."
   | violations -> List.iter print_endline violations

@@ -56,6 +56,6 @@ let () =
   (match Service.mapping_of services.(0) room with
   | Some hwg -> Format.printf "carried by heavy-weight group %a@." Gid.pp hwg
   | None -> ());
-  match Plwg_vsync.Recorder.check_all stack.Stack.recorder with
+  match Stack.check_vs stack with
   | [] -> Format.printf "virtual-synchrony invariants: OK@."
   | violations -> List.iter print_endline violations

@@ -100,6 +100,6 @@ let () =
   | None -> ());
   let switches = Array.fold_left (fun acc s -> acc + Service.switch_count s) 0 services in
   Format.printf "== switch-protocol runs so far: %d@." switches;
-  match Plwg_vsync.Recorder.check_all stack.Stack.recorder with
+  match Stack.check_vs stack with
   | [] -> Format.printf "virtual-synchrony invariants: OK@."
   | violations -> List.iter print_endline violations

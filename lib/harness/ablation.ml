@@ -6,7 +6,6 @@ module Policy = Plwg.Policy
 module Db = Plwg_naming.Db
 module Server = Plwg_naming.Server
 module Hwg = Plwg_vsync.Hwg
-module Recorder = Plwg_vsync.Recorder
 
 let lwg seq = { Gid.seq = 1_000_000 + seq; origin = 0 }
 
@@ -174,11 +173,11 @@ let merge_cost ?(seed = 14) () =
       let flushes =
         List.length
           (List.filter
-             (fun (time, event) ->
+             (fun { Plwg_obs.Event.at_us; event } ->
                match event with
-               | Hwg.Installed { node = 0; _ } -> Time.compare time heal_time > 0
+               | Plwg_obs.Event.View_installed { layer = Hwg; node = 0; _ } -> Time.compare at_us heal_time > 0
                | _ -> false)
-             (Recorder.events stack.Stack.hwg_recorder))
+             (Trace_check.entries stack.Stack.obs.Plwg_obs.sink))
       in
       (* a per-LWG merge design would pay one flush per group instead *)
       let hypothetical = flushes - 1 + m in

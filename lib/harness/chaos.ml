@@ -302,7 +302,7 @@ let check_transport_drained stack =
       else None)
     (stack.Stack.app_nodes @ stack.Stack.server_nodes)
 
-let oracle stack ~lwgs ~entries ~trace_truncated =
+let oracle stack ~lwgs =
   let prefix tag = List.map (fun v -> tag ^ ": " ^ v) in
   let convergence =
     List.filter_map
@@ -317,20 +317,21 @@ let oracle stack ~lwgs ~entries ~trace_truncated =
      in whatever order traffic dictates (same reasoning as the stress
      command).  Flush pairing runs strict — the settle tail recovers
      every node, so even a coordinator crashed mid-flush must close its
-     change on the recovery path. *)
+     change on the recovery path.  A truncated trace is a failure: the
+     checks would otherwise pass on what the ring threw away. *)
   let trace_failures =
-    if trace_truncated then []
-    else
-      Trace_check.check_flush_pairing ~allow_open:false entries
-      @ Trace_check.check_no_cross_partition_delivery ~n_nodes entries
+    Trace_check.check_sink
+      (fun entries ->
+        Trace_check.check_flush_pairing ~allow_open:false entries
+        @ Trace_check.check_no_cross_partition_delivery ~n_nodes entries
+        @ Trace_check.check_vs entries)
+      stack.Stack.obs.Plwg_obs.sink
   in
   convergence
   @ check_hwg_agreement stack
   @ check_naming stack
   @ check_transport_drained stack
   @ prefix "trace" trace_failures
-  @ prefix "lwg-recorder" (Plwg_vsync.Recorder.check_all stack.Stack.recorder)
-  @ prefix "hwg-recorder" (Plwg_vsync.Recorder.check_all stack.Stack.hwg_recorder)
 
 (* ------------------------------------------------------------------ *)
 (* Running one schedule                                                *)
@@ -344,8 +345,8 @@ let trace_capacity = 1 lsl 20
 
 let run_schedule ?metrics ?on_trace ?(run = 0) schedule =
   let profile = schedule.profile in
-  let sink = Plwg_obs.Sink.create ~capacity:trace_capacity () in
-  let obs = { Plwg_obs.sink; metrics = (match metrics with Some m -> m | None -> Plwg_obs.Metrics.create ()) } in
+  let metrics = match metrics with Some m -> m | None -> Plwg_obs.Metrics.create () in
+  let obs = { Plwg_obs.sink = Plwg_obs.Sink.create ~capacity:trace_capacity (); metrics } in
   let stack = Stack.create ~obs ~seed:schedule.seed ~mode:schedule.mode ~n_app:profile.n_app () in
   let engine = stack.Stack.engine in
   Sim_rt.trace engine (fun () ->
@@ -377,11 +378,8 @@ let run_schedule ?metrics ?on_trace ?(run = 0) schedule =
   in
   let (_ : Sim_rt.cancel) = Sim_rt.after engine (Time.ms 500) traffic in
   Stack.run stack (profile.warmup + profile.window + Time.sec 1 + profile.settle);
-  let trace_truncated = Plwg_obs.Sink.dropped sink > 0 in
-  if trace_truncated then Plwg_obs.Metrics.incr obs.Plwg_obs.metrics "chaos.trace_truncated";
-  let entries = Plwg_obs.Sink.to_list sink in
-  (match on_trace with Some f -> f entries | None -> ());
-  let failures = oracle stack ~lwgs ~entries ~trace_truncated in
+  (match on_trace with Some f -> f (Plwg_obs.Sink.to_list obs.Plwg_obs.sink) | None -> ());
+  let failures = oracle stack ~lwgs in
   Sim_rt.trace engine (fun () ->
       Plwg_obs.Event.Chaos_verdict
         {

@@ -10,7 +10,8 @@
     may legitimately demand convergence per reachability component:
     HWG views agree, LWG views merged with consistent mappings, naming
     replicas reconciled with no outstanding MULTIPLE-MAPPINGS, no
-    unmatched flush-begin in the trace, and transport backlogs drained.
+    unmatched flush-begin in the trace, virtual synchrony at both group
+    layers, and transport backlogs drained.
 
     On failure, {!shrink} minimizes the schedule while preserving the
     failure and {!to_repro_json} emits a self-contained artifact, so
@@ -98,8 +99,8 @@ val failed : report -> verdict list
 
 (* Oracle, exposed for tests *)
 
-val oracle :
-  Stack.t -> lwgs:Gid.t list -> entries:Plwg_obs.Event.entry list -> trace_truncated:bool -> string list
+val oracle : Stack.t -> lwgs:Gid.t list -> string list
+(** A settled stack's failures; a truncated trace is one of them. *)
 
 val chaos_lwg : int -> Gid.t
 (** The fixed group ids the runner joins ([chaos_lwg 0 .. n_lwgs-1]). *)

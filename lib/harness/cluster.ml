@@ -4,40 +4,36 @@ module Sim_rt = Plwg_runtime.Sim_rt
 module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
 module Hwg = Plwg_vsync.Hwg
-module Recorder = Plwg_vsync.Recorder
 
 type parts = {
   p_transport : Transport.t;
   p_detectors : Detector.t array;
   p_hwgs : Hwg.t array;
-  p_recorder : Recorder.t;
 }
 
 type t = {
   engine : Sim_rt.t;
-  obs : Plwg_obs.t option;
+  obs : Plwg_obs.t;
   transport : Transport.t;
   detectors : Detector.t array;
   hwgs : Hwg.t array;
-  recorder : Recorder.t;
 }
 
 let wire ?(hwg_config = Hwg.default_config) ?(detector_config = Detector.default_config)
     ?(callbacks = fun _ -> Hwg.no_callbacks) rt =
   let n_nodes = Rt.n_nodes rt in
   let transport = Transport.create rt in
-  let recorder = Recorder.create () in
   let detectors = Array.init n_nodes (fun node -> Detector.create ~config:detector_config transport node) in
   let hwgs =
     Array.init n_nodes (fun node ->
-        Hwg.create ~config:hwg_config ~recorder:(Recorder.hook recorder) ~transport ~detector:detectors.(node)
-          (callbacks node) node)
+        Hwg.create ~config:hwg_config ~transport ~detector:detectors.(node) (callbacks node) node)
   in
-  { p_transport = transport; p_detectors = detectors; p_hwgs = hwgs; p_recorder = recorder }
+  { p_transport = transport; p_detectors = detectors; p_hwgs = hwgs }
 
 let create ?obs ?(model = Model.default) ?(hwg_config = Hwg.default_config)
     ?(detector_config = Detector.default_config) ?(callbacks = fun _ -> Hwg.no_callbacks) ~seed ~n_nodes () =
-  let engine = Sim_rt.create ?obs ~model ~seed ~n_nodes () in
+  let obs = match obs with Some obs -> obs | None -> Plwg_obs.create () in
+  let engine = Sim_rt.create ~obs ~model ~seed ~n_nodes () in
   let parts = wire ~hwg_config ~detector_config ~callbacks (Sim_rt.rt engine) in
   {
     engine;
@@ -45,7 +41,6 @@ let create ?obs ?(model = Model.default) ?(hwg_config = Hwg.default_config)
     transport = parts.p_transport;
     detectors = parts.p_detectors;
     hwgs = parts.p_hwgs;
-    recorder = parts.p_recorder;
   }
 
 let run t span = Sim_rt.run_span t.engine span
@@ -85,7 +80,4 @@ let converged t group =
           && List.equal Node_id.equal first.Plwg_vsync.Types.View.members expected_members)
     classes
 
-let assert_invariants t =
-  match Recorder.check_all t.recorder with
-  | [] -> ()
-  | violations -> failwith (String.concat "\n" violations)
+let check_vs t = Trace_check.check_sink Trace_check.check_vs t.obs.Plwg_obs.sink

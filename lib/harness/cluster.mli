@@ -1,5 +1,6 @@
 (** Assembles a simulated cluster: engine, transport fabric, one failure
-    detector and one HWG service per node, plus a shared trace recorder.
+    detector and one HWG service per node, traced into one [Plwg_obs]
+    sink that the virtual-synchrony oracle ({!check_vs}) replays.
     Used by tests, examples and the benchmark harness.
 
     {!wire} assembles the per-node services on any runtime backend;
@@ -11,7 +12,6 @@ type parts = {
   p_transport : Plwg_transport.Transport.t;
   p_detectors : Plwg_detector.Detector.t array;
   p_hwgs : Plwg_vsync.Hwg.t array;
-  p_recorder : Plwg_vsync.Recorder.t;
 }
 (** The HWG stack above the runtime, backend-agnostic. *)
 
@@ -25,11 +25,10 @@ val wire :
 
 type t = {
   engine : Plwg_runtime.Sim_rt.t;
-  obs : Plwg_obs.t option;  (** trace sink + metrics, when attached *)
+  obs : Plwg_obs.t;  (** trace sink + metrics; [create]'s [obs] defaults to a fresh one *)
   transport : Plwg_transport.Transport.t;
   detectors : Plwg_detector.Detector.t array;
   hwgs : Plwg_vsync.Hwg.t array;
-  recorder : Plwg_vsync.Recorder.t;
 }
 
 val create :
@@ -55,5 +54,5 @@ val converged : t -> Plwg_vsync.Types.Gid.t -> bool
     every view member is a member, and no two concurrent views persist
     among alive nodes in the same connectivity class. *)
 
-val assert_invariants : t -> unit
-(** Raise [Failure] listing violations if any trace invariant fails. *)
+val check_vs : t -> string list
+(** {!Trace_check.check_vs} over the cluster's sink. *)

@@ -28,7 +28,6 @@ module Domains_rt = Plwg_runtime_domains.Domains_rt
 module Service = Plwg.Service
 module Gid = Plwg_vsync.Types.Gid
 module View = Plwg_vsync.Types.View
-module Recorder = Plwg_vsync.Recorder
 
 type Payload.t += Conf_data of { sender : int; seq : int }
 
@@ -94,7 +93,7 @@ type outcome = {
   channels : channel list;  (* sorted by (rcv, group, sender) *)
   views : (int * string * int list) list;  (* (node, group, members), sorted *)
   trace : string;  (* trace sink contents, one JSON line per event *)
-  violations : string list;  (* [Recorder.check_all] of the LWG and HWG recorders *)
+  violations : string list;  (* [Trace_check.check_vs] of the run's trace *)
 }
 
 let channels_of deliveries =
@@ -154,7 +153,7 @@ let outcome deliveries parts obs =
     channels = channels_of deliveries;
     views = views_of parts;
     trace = trace_of obs;
-    violations = Recorder.check_all parts.Stack.p_recorder @ Recorder.check_all parts.Stack.p_hwg_recorder;
+    violations = Trace_check.check_sink Trace_check.check_vs obs.Plwg_obs.sink;
   }
 
 let run_sim ~seed =

@@ -3,7 +3,8 @@
     multi-domain backend, compared modulo the per-node commutativity
     relation (DESIGN.md, "Runtime layer"): per-(receiver, group,
     sender) delivery sequences and final view memberships must match;
-    cross-node and cross-sender interleavings may differ. *)
+    cross-node and cross-sender interleavings may differ.  Each run's
+    own trace feeds {!Trace_check.check_vs}. *)
 
 type channel = { rcv : int; group : string; sender : int; seqs : int list }
 (** One delivery channel: the payload sequence numbers node [rcv]
@@ -13,7 +14,7 @@ type outcome = {
   channels : channel list;  (** sorted by [(rcv, group, sender)] *)
   views : (int * string * int list) list;  (** final [(node, group, members)] *)
   trace : string;  (** trace sink contents, one JSON line per event *)
-  violations : string list;  (** [Recorder.check_all] of the LWG and HWG recorders *)
+  violations : string list;  (** {!Trace_check.check_vs} over the run's trace *)
 }
 
 val run_sim : seed:int -> outcome
@@ -29,5 +30,5 @@ val check : seed:int -> n_domains:int -> (unit, string list) result
     byte-for-byte across two runs; the domains backend reproduces
     channels, views and its merged trace for the fixed
     [(seed, n_domains)]; the domains run is equivalent to the sim run
-    under {!diff}; and neither run violates the virtual-synchrony
-    invariants of {!Plwg_vsync.Recorder.check_all}. *)
+    under {!diff}; and neither run's trace violates the
+    virtual-synchrony invariants of {!Trace_check.check_vs}. *)

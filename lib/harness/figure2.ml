@@ -182,23 +182,28 @@ let run ~mode ~n ~seed =
           then
             Hashtbl.replace detection node (Sim_rt.now stack.Stack.engine)))
     survivors;
+  (* recovery reads only post-crash installs; the ring restarts here *)
+  Plwg_obs.Sink.clear stack.Stack.obs.Plwg_obs.sink;
   let crash_time = Sim_rt.now stack.Stack.engine in
   Sim_rt.crash stack.Stack.engine 3;
   Stack.run stack (Time.sec 15);
+  (* in Direct mode the application groups are the HWGs themselves *)
+  let layer = match mode with Stack.Direct -> Plwg_obs.Event.Hwg | Stack.Static | Stack.Dynamic -> Plwg_obs.Event.Lwg in
+  let entries = Trace_check.entries stack.Stack.obs.Plwg_obs.sink in
   let recovery_of_group g =
+    (* plwg-lint: allow gid-string-boundary — trace lookup key, once per group after the run *)
+    let group = Gid.to_string g in
     (* per survivor: first view installed after the crash that excludes
        node 3; the group has recovered when the slowest survivor has *)
     let recover_at node =
       let installs =
         List.filter_map
-          (fun (time, event) ->
+          (fun { Plwg_obs.Event.at_us; event } ->
             match event with
-            | Plwg_vsync.Hwg.Installed { node = n; view }
-              when Node_id.equal n node && Gid.equal view.View.group g && Time.compare time crash_time > 0
-                   && not (List.mem 3 view.View.members) ->
-                Some time
+            | Plwg_obs.Event.View_installed { members; _ } when at_us > crash_time && not (List.mem 3 members) ->
+                Some at_us
             | _ -> None)
-          (Plwg_vsync.Recorder.events stack.Stack.recorder)
+          (Trace_check.installs_of ~layer ~node ~group entries)
       in
       match installs with [] -> None | times -> Some (List.fold_left min (List.hd times) times)
     in

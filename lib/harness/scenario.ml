@@ -11,8 +11,7 @@ type stage = { label : string; reached_at_ms : float; rendering : string }
 type outcome = {
   stages : stage list;
   converged : bool;
-  invariant_violations : string list;
-  trace_violations : string list;  (** from {!Trace_check}; empty when run without [?obs] *)
+  trace_violations : string list;
 }
 
 let lwg_a = { Gid.seq = 1_000_001; origin = 0 }
@@ -107,18 +106,11 @@ let run ?obs ?(seed = 90) () =
   watching := false;
   Stack.run stack (Time.sec 2);
   if converged () then capture "4) merged LwGs" (db ());
-  let trace_violations =
-    match obs with
-    | None -> []
-    | Some o ->
-        let n_nodes = List.length stack.Stack.app_nodes + List.length stack.Stack.server_nodes in
-        Trace_check.check_all ~n_nodes (Plwg_obs.Sink.to_list o.Plwg_obs.sink)
-  in
+  let n_nodes = List.length stack.Stack.app_nodes + List.length stack.Stack.server_nodes in
   {
     stages = List.rev !stages;
     converged = converged ();
-    invariant_violations = Plwg_vsync.Recorder.check_all stack.Stack.recorder;
-    trace_violations;
+    trace_violations = Trace_check.check_sink (Trace_check.check_all ~n_nodes) stack.Stack.obs.Plwg_obs.sink;
   }
 
 let print outcome =
@@ -128,6 +120,4 @@ let print outcome =
       Printf.printf "\n-- %s (t = heal + %.0f ms)\n%s\n" stage.label stage.reached_at_ms stage.rendering)
     outcome.stages;
   List.iter (fun v -> Printf.printf "trace violation: %s\n" v) outcome.trace_violations;
-  Printf.printf "\nconverged: %b; invariant violations: %d; trace violations: %d\n" outcome.converged
-    (List.length outcome.invariant_violations)
-    (List.length outcome.trace_violations)
+  Printf.printf "\nconverged: %b; trace violations: %d\n" outcome.converged (List.length outcome.trace_violations)

@@ -13,8 +13,7 @@ type stage = {
 type outcome = {
   stages : stage list;  (** in order; a missing stage means no convergence *)
   converged : bool;
-  invariant_violations : string list;
-  trace_violations : string list;  (** from {!Trace_check}; empty when run without [?obs] *)
+  trace_violations : string list;  (** {!Trace_check.check_all} over the run's trace *)
 }
 
 val run : ?obs:Plwg_obs.t -> ?seed:int -> unit -> outcome

@@ -3,7 +3,6 @@ module Rt = Plwg_runtime.Rt
 module Sim_rt = Plwg_runtime.Sim_rt
 module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
-module Recorder = Plwg_vsync.Recorder
 module Service = Plwg.Service
 module Server = Plwg_naming.Server
 module Client = Plwg_naming.Client
@@ -19,22 +18,18 @@ type parts = {
   p_services : Service.t array;
   p_ns_servers : Server.t list;
   p_ns_clients : Client.t array;
-  p_recorder : Recorder.t;
-  p_hwg_recorder : Recorder.t;
   p_app_nodes : Node_id.t list;
   p_server_nodes : Node_id.t list;
 }
 
 type t = {
   engine : Sim_rt.t;
-  obs : Plwg_obs.t option;
+  obs : Plwg_obs.t;
   transport : Transport.t;
   detectors : Detector.t array;
   services : Service.t array;
   ns_servers : Server.t list;
   ns_clients : Client.t array;
-  recorder : Recorder.t;
-  hwg_recorder : Recorder.t;
   app_nodes : Node_id.t list;
   server_nodes : Node_id.t list;
 }
@@ -52,8 +47,6 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
   | Dynamic when with_servers <= 0 -> invalid_arg "Stack.wire: Dynamic mode needs naming replica nodes"
   | Dynamic | Direct | Static -> ());
   let transport = Transport.create rt in
-  let recorder = Recorder.create () in
-  let hwg_recorder = Recorder.create () in
   let detectors = Array.init n_nodes (fun node -> Detector.create ~config:detector_config transport node) in
   let app_nodes = List.init n_app (fun i -> i) in
   let server_nodes = match mode with Dynamic -> List.init with_servers (fun i -> n_app + i) | Direct | Static -> [] in
@@ -78,8 +71,7 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
   let services =
     Array.init n_app (fun node ->
         let ns = match mode with Dynamic -> Some ns_clients.(node) | Direct | Static -> None in
-        Service.create ~config ~hwg_config ~recorder:(Recorder.hook recorder)
-          ~hwg_recorder:(Recorder.hook hwg_recorder) ~mode:service_mode ~transport ~detector:detectors.(node) ?ns
+        Service.create ~config ~hwg_config ~mode:service_mode ~transport ~detector:detectors.(node) ?ns
           (callbacks node) node)
   in
   {
@@ -88,8 +80,6 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
     p_services = services;
     p_ns_servers = ns_servers;
     p_ns_clients = ns_clients;
-    p_recorder = recorder;
-    p_hwg_recorder = hwg_recorder;
     p_app_nodes = app_nodes;
     p_server_nodes = server_nodes;
   }
@@ -100,7 +90,8 @@ let create ?obs ?(model = Model.default) ?(seed = 42) ?(config = Service.default
     ~n_app () =
   let with_servers = match mode with Dynamic -> n_servers | Direct | Static -> 0 in
   let n_nodes = n_app + with_servers in
-  let engine = Sim_rt.create ?obs ~model ~seed ~n_nodes () in
+  let obs = match obs with Some obs -> obs | None -> Plwg_obs.create () in
+  let engine = Sim_rt.create ~obs ~model ~seed ~n_nodes () in
   let parts = wire ~config ~hwg_config ~detector_config ~ns_config ~callbacks ~mode ~n_app (Sim_rt.rt engine) in
   {
     engine;
@@ -110,8 +101,6 @@ let create ?obs ?(model = Model.default) ?(seed = 42) ?(config = Service.default
     services = parts.p_services;
     ns_servers = parts.p_ns_servers;
     ns_clients = parts.p_ns_clients;
-    recorder = parts.p_recorder;
-    hwg_recorder = parts.p_hwg_recorder;
     app_nodes = parts.p_app_nodes;
     server_nodes = parts.p_server_nodes;
   }
@@ -156,7 +145,4 @@ let lwg_converged t lwg =
                with_view)
     classes
 
-let assert_lwg_invariants t =
-  match Recorder.check_all t.recorder with
-  | [] -> ()
-  | violations -> failwith (String.concat "\n" violations)
+let check_vs t = Trace_check.check_sink Trace_check.check_vs t.obs.Plwg_obs.sink

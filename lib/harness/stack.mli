@@ -4,7 +4,8 @@
     paper's experiments.
 
     {!wire} assembles the protocol stack on any runtime backend;
-    {!create} is the sim fixture (engine + wiring + driver surface). *)
+    {!create} is the sim fixture (engine + wiring + driver surface),
+    always traced: {!check_vs} replays its [Plwg_obs] stream. *)
 
 open Plwg_sim
 
@@ -16,8 +17,6 @@ type parts = {
   p_services : Plwg.Service.t array;  (** indexed by app node id *)
   p_ns_servers : Plwg_naming.Server.t list;
   p_ns_clients : Plwg_naming.Client.t array;
-  p_recorder : Plwg_vsync.Recorder.t;  (** LWG-level events *)
-  p_hwg_recorder : Plwg_vsync.Recorder.t;  (** carrier (HWG) level events *)
   p_app_nodes : Node_id.t list;
   p_server_nodes : Node_id.t list;
 }
@@ -39,14 +38,12 @@ val wire :
 
 type t = {
   engine : Plwg_runtime.Sim_rt.t;
-  obs : Plwg_obs.t option;  (** trace sink + metrics, when attached *)
+  obs : Plwg_obs.t;  (** trace sink + metrics *)
   transport : Plwg_transport.Transport.t;
   detectors : Plwg_detector.Detector.t array;  (** indexed by node id *)
   services : Plwg.Service.t array;  (** indexed by app node id, [0 .. n_app-1] *)
   ns_servers : Plwg_naming.Server.t list;
   ns_clients : Plwg_naming.Client.t array;  (** per app node (Dynamic mode) *)
-  recorder : Plwg_vsync.Recorder.t;  (** LWG-level events *)
-  hwg_recorder : Plwg_vsync.Recorder.t;  (** carrier (HWG) level events *)
   app_nodes : Node_id.t list;
   server_nodes : Node_id.t list;
 }
@@ -69,7 +66,8 @@ val create :
   unit ->
   t
 (** Node layout: app nodes are [0 .. n_app-1]; naming replicas (Dynamic
-    mode only, [n_servers] of them, default 2) occupy the next ids. *)
+    mode only, [n_servers] of them, default 2) occupy the next ids.
+    [obs] defaults to a fresh {!Plwg_obs.create}. *)
 
 val run : t -> Time.span -> unit
 
@@ -78,4 +76,5 @@ val lwg_converged : t -> Plwg_vsync.Types.Gid.t -> bool
     connectivity class, the view lists exactly those members, and all of
     them map the LWG onto the same HWG. *)
 
-val assert_lwg_invariants : t -> unit
+val check_vs : t -> string list
+(** {!Trace_check.check_vs} over the stack's sink (both layers). *)

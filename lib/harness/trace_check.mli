@@ -1,16 +1,71 @@
 (** Trace-driven invariant checking.
 
-    The checks replay an exported trace (oldest first) and verify
-    protocol-level invariants that the in-process recorders cannot see.
-    Each check returns human-readable violation strings; an empty list
-    means the trace is clean. *)
+    The checks replay a trace, oldest first: a sink read in process or
+    a JSONL dump ({!Plwg_obs.Sink.load_file}), so the same oracle runs
+    on the sim, on the multi-domain backend and offline ([plwg check]).
+    Each returns human-readable violations; [[]] means the trace is
+    clean. *)
 
 open Plwg_obs
+
+(** The sink's trace.  @raise Failure ["trace truncated: N entries
+    dropped"] if the ring overwrote entries (never a partial trace). *)
+val entries : Sink.t -> Event.entry list
+
+(** [check_sink check sink] is [check (entries sink)], or the
+    truncation message as its one violation. *)
+val check_sink : (Event.entry list -> string list) -> Sink.t -> string list
+
+(** One more than the highest node id a wire event or partition names. *)
+val n_nodes_of : Event.entry list -> int
+
+(** {1 Virtual synchrony}  [View_installed], [Group_delivered] and
+    [Group_left] at both layers; a group is its layer and id. *)
+
+(** The [View_installed] entries of one node and group. *)
+val installs_of : layer:Event.layer -> node:int -> group:string -> Event.entry list -> Event.entry list
+
+(** A node only installs views that contain it. *)
+val check_self_inclusion : Event.entry list -> string list
+
+(** Two installs of one view id agree on its members. *)
+val check_view_agreement : Event.entry list -> string list
+
+(** Per node and group, installed view seqs increase (a [Group_left]
+    starts a new membership). *)
+val check_local_monotonicity : Event.entry list -> string list
+
+(** A node installs a view id once per membership. *)
+val check_view_id_unique_per_change : Event.entry list -> string list
+
+(** Per node and group, each message — (origin, local id) plus the
+    sender's membership, as the number of [Group_left]s it had made
+    when it installed the message's view — is delivered once. *)
+val check_no_duplicate_delivery : Event.entry list -> string list
+
+(** Per node, group and sender membership, local ids increase. *)
+val check_fifo : Event.entry list -> string list
+
+(** Two nodes that install the same view V and then the same successor
+    V' deliver the same messages in V. *)
+val check_virtual_synchrony : Event.entry list -> string list
+
+(** Within each view of a total-order group, deliveries are
+    prefix-compatible. *)
+val check_total_order : layer:Event.layer -> group:string -> Event.entry list -> string list
+
+(** The seven group-agnostic checks above. *)
+val check_vs : Event.entry list -> string list
+
+(** {1 Protocol traces} *)
 
 (** Every [Flush_begin] must be matched by exactly one [Flush_end] for
     the same (node, group, epoch).  [allow_open] tolerates flushes
     still in progress when the trace was cut. *)
 val check_flush_pairing : ?allow_open:bool -> Event.entry list -> string list
+
+(** Whether a [Msg_delivered] kind is application DATA ([hw-data]). *)
+val is_data : string -> bool
 
 (** No application DATA delivery may cross the partition in force at
     the time of delivery. *)
@@ -20,10 +75,6 @@ val check_no_cross_partition_delivery : n_nodes:int -> Event.entry list -> strin
     prescribes. *)
 val paper_order : Event.reconcile_step list
 
-(** The suffix of the trace after the last [Healed] event (the whole
-    trace if there is none). *)
-val after_last_heal : Event.entry list -> Event.entry list
-
 (** Reconcile steps in order of first occurrence after the last heal. *)
 val reconcile_sequence : Event.entry list -> Event.reconcile_step list
 
@@ -31,4 +82,6 @@ val reconcile_sequence : Event.entry list -> Event.reconcile_step list
     may be absent). *)
 val check_reconcile_order : Event.entry list -> string list
 
+(** {!check_vs}, {!check_flush_pairing}, {!check_no_cross_partition_delivery}
+    and {!check_reconcile_order}. *)
 val check_all : ?allow_open:bool -> n_nodes:int -> Event.entry list -> string list

@@ -109,7 +109,6 @@ type t = {
   config : config;
   rt : Rt.t;
   callbacks : callbacks;
-  recorder : (Time.t -> Hwg.event -> unit) option;
   ns : Client.t option;
   hwg : Hwg.t;
   lstates : (int, lstate) Hashtbl.t; (* keyed by Gid.code *)
@@ -126,8 +125,6 @@ let mode t = t.mode
 let hwg_service t = t.hwg
 let switch_count t = t.switches
 let merge_count t = t.merges
-
-let record t event = match t.recorder with Some r -> r (Rt.now t.rt) event | None -> ()
 
 let lstate_of t lwg = Hashtbl.find_opt t.lstates (Gid.code lwg)
 
@@ -195,7 +192,10 @@ let[@transition] deliver t (l : lstate) ~src ~seq ~local body =
   l.delivered <- Node_id.Map.add src (seq + 1) l.delivered;
   (match l.view with
   | Some view ->
-      record t (Hwg.Delivered { node = t.node; group = l.lwg; view_id = view.View.id; origin = src; local_id = local })
+      Rt.trace t.rt (fun () ->
+          Plwg_obs.Event.Group_delivered
+            { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
+              view_coord = view.View.id.View_id.coord; origin = src; local_id = local })
   | None -> ());
   t.callbacks.on_data l.lwg ~src body
 
@@ -258,16 +258,11 @@ let[@transition] install_lview t (l : lstate) view =
   l.next_seq <- 0;
   l.delivered <- Node_id.Map.empty;
   l.pend_cur <- [];
-  record t (Hwg.Installed { node = t.node; view });
   Rt.count t.rt "lwg.views_installed";
   Rt.trace t.rt (fun () ->
       Plwg_obs.Event.View_installed
-        {
-          node = t.node;
-          group = Gid.to_string l.lwg;
-          view = Format.asprintf "%a" View_id.pp view.View.id;
-          members = view.View.members;
-        });
+        { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
+          view_coord = view.View.id.View_id.coord; members = view.View.members });
   t.callbacks.on_view l.lwg view;
   (* feed traffic that raced ahead of the install; entries for views
      that meanwhile became ancestors can never be replayed — drop them *)
@@ -293,7 +288,8 @@ let[@transition] end_lflush t (l : lstate) ~outcome =
 let remove_lstate t (l : lstate) ~installed =
   Logs.debug (fun m -> m "n%d remove_lstate %s installed=%b" t.node (Gid.to_string l.lwg) installed);
   end_lflush t l ~outcome:"left";
-  if installed then record t (Hwg.Left { node = t.node; group = l.lwg });
+  if installed then
+    Rt.trace t.rt (fun () -> Plwg_obs.Event.Group_left { layer = Lwg; node = t.node; group = Gid.to_string l.lwg });
   Hashtbl.remove t.lstates (Gid.code l.lwg)
 
 let[@transition] check_migration t (l : lstate) =
@@ -457,6 +453,10 @@ let[@transition] handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to =
           (* a joiner: no old traffic to drain *)
           match l.status with
           | Announcing _ | Joining_hwg | Resolving _ ->
+              (* the coordinator runs the group on [carrier]: follow it,
+                 or view and mapping disagree from the first install *)
+              l.hwg <- Some carrier;
+              ignore (hstate_of t carrier);
               if Option.is_some t.state_callbacks && Option.is_none switch_to then
                 l.awaiting_state <- Some (Rt.now t.rt);
               l.status <- Draining { d_view = view; d_cut = Node_id.Map.empty; d_switch = switch_to; d_leaving = false };
@@ -629,7 +629,22 @@ let[@transition] compute_merges t hs hview =
         | [ v ] -> (not (Node_id.Set.subset (View.members_set v) present)) || divergent v.View.id
         | _ -> true
       in
-      if needs_merge then
+      if not needs_merge then
+        (* One view, held by all its members along one lineage: nothing
+           diverged, so a latched lineage clears.  Left latched, it
+           reopened this round at every carrier install, forever (e.g. a
+           coordinator that alone moved its view to a fresh carrier). *)
+        match (relevant, lstate_of t lwg) with
+        | [ v ], Some l -> (
+            let held_by_all =
+              Node_id.Set.equal (View.members_set v)
+                (Node_id.Set.of_list (List.map (fun (n, _, _) -> n) (holders v.View.id)))
+            in
+            match l.view with
+            | Some mine when held_by_all && View_id.equal mine.View.id v.View.id -> l.lineage <- L_continuous
+            | Some _ | None -> ())
+        | _, _ -> ()
+      else
         let members =
           Node_id.Set.inter
             (List.fold_left (fun acc v -> Node_id.Set.union acc (View.members_set v)) Node_id.Set.empty relevant)
@@ -1325,7 +1340,7 @@ let[@transition] mark_lineage_rejoined t node =
     (fun _ (l : lstate) -> if Option.is_some l.view then l.lineage <- L_rejoined node)
     t.lstates
 
-let create ?(config = default_config) ?hwg_config ?recorder ?hwg_recorder ~mode ~transport ~detector ?ns callbacks node =
+let create ?(config = default_config) ?hwg_config ~mode ~transport ~detector ?ns callbacks node =
   (match (mode, ns) with
   | Dynamic, None -> invalid_arg "Lwg.create: Dynamic mode requires a naming-service client"
   | _, _ -> ());
@@ -1347,10 +1362,7 @@ let create ?(config = default_config) ?hwg_config ?recorder ?hwg_recorder ~mode 
           Hwg.on_stop = (fun _ -> ());
         }
   in
-  let hwg_recorder = match mode with Direct -> recorder | Static _ | Dynamic -> hwg_recorder in
-  let hwg =
-    Hwg.create ?config:hwg_config ?recorder:hwg_recorder ~transport ~detector hwg_callbacks node
-  in
+  let hwg = Hwg.create ?config:hwg_config ~transport ~detector hwg_callbacks node in
   let t =
     {
       node;
@@ -1358,7 +1370,6 @@ let create ?(config = default_config) ?hwg_config ?recorder ?hwg_recorder ~mode 
       config;
       rt;
       callbacks;
-      recorder = (match mode with Direct -> None | Static _ | Dynamic -> recorder);
       ns;
       hwg;
       lstates = Hashtbl.create 16;

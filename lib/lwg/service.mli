@@ -17,7 +17,9 @@
       own dedicated HWG (the "no LWG service" baseline).
 
     LWG views carry their predecessor ids, so the naming service can
-    garbage-collect superseded mappings (Table 4). *)
+    garbage-collect superseded mappings (Table 4).  LWG installs,
+    deliveries and leaves are traced at layer [Lwg] ([Hwg] in [Direct]
+    mode, where user groups are carriers) for [Plwg_harness.Trace_check]. *)
 
 open Plwg_sim
 open Plwg_vsync.Types
@@ -50,8 +52,6 @@ type t
 val create :
   ?config:config ->
   ?hwg_config:Plwg_vsync.Hwg.config ->
-  ?recorder:(Time.t -> Plwg_vsync.Hwg.event -> unit) ->
-  ?hwg_recorder:(Time.t -> Plwg_vsync.Hwg.event -> unit) ->
   mode:mode ->
   transport:Plwg_transport.Transport.t ->
   detector:Plwg_detector.Detector.t ->

@@ -21,11 +21,22 @@ let reconcile_step_of_string = function
   | "merge-views" -> Merge_views
   | other -> invalid_arg ("Event.reconcile_step_of_string: " ^ other)
 
+type layer = Hwg | Lwg
+
+let layer_to_string = function Hwg -> "hwg" | Lwg -> "lwg"
+
+let layer_of_string = function
+  | "hwg" -> Hwg
+  | "lwg" -> Lwg
+  | other -> invalid_arg ("Event.layer_of_string: " ^ other)
+
 type t =
-  | Msg_sent of { src : int; dst : int; kind : string }
   | Msg_delivered of { src : int; dst : int; kind : string; latency_us : int }
   | Msg_dropped of { src : int; dst : int; kind : string; reason : string }
-  | View_installed of { node : int; group : string; view : string; members : int list }
+  | View_installed of { layer : layer; node : int; group : string; view_seq : int; view_coord : int; members : int list }
+  | Group_delivered of {
+      layer : layer; node : int; group : string; view_seq : int; view_coord : int; origin : int; local_id : int }
+  | Group_left of { layer : layer; node : int; group : string }
   | Flush_begin of { node : int; group : string; epoch : int }
   | Flush_end of { node : int; group : string; epoch : int; outcome : string }
   | Ns_request of { node : int; req : int; op : string; server : int }
@@ -53,17 +64,12 @@ type entry = { at_us : int; event : t }
 let kind_prefix kind =
   match String.index_opt kind '(' with Some i -> String.sub kind 0 i | None -> kind
 
-(* Substring test used to classify application DATA traffic. *)
-let kind_contains ~needle kind =
-  let nk = String.length needle and nh = String.length kind in
-  let rec scan i = i + nk <= nh && (String.sub kind i nk = needle || scan (i + 1)) in
-  nk = 0 || scan 0
-
 let type_name = function
-  | Msg_sent _ -> "msg-sent"
   | Msg_delivered _ -> "msg-delivered"
   | Msg_dropped _ -> "msg-dropped"
   | View_installed _ -> "view-installed"
+  | Group_delivered _ -> "group-delivered"
+  | Group_left _ -> "group-left"
   | Flush_begin _ -> "flush-begin"
   | Flush_end _ -> "flush-end"
   | Ns_request _ -> "ns-request"
@@ -83,22 +89,27 @@ let type_name = function
   | Chaos_schedule _ -> "chaos-schedule"
   | Chaos_verdict _ -> "chaos-verdict"
 
+(* fields shared by the group-layer events *)
+let member_fields layer node group =
+  [ ("layer", Json.Str (layer_to_string layer)); ("node", Json.Int node); ("group", Json.Str group) ]
+
+let view_fields view_seq view_coord = [ ("view_seq", Json.Int view_seq); ("view_coord", Json.Int view_coord) ]
+
 let to_json { at_us; event } =
   let base = [ ("at_us", Json.Int at_us); ("type", Json.Str (type_name event)) ] in
   let fields =
     match event with
-    | Msg_sent { src; dst; kind } -> [ ("src", Json.Int src); ("dst", Json.Int dst); ("kind", Json.Str kind) ]
     | Msg_delivered { src; dst; kind; latency_us } ->
         [ ("src", Json.Int src); ("dst", Json.Int dst); ("kind", Json.Str kind); ("latency_us", Json.Int latency_us) ]
     | Msg_dropped { src; dst; kind; reason } ->
         [ ("src", Json.Int src); ("dst", Json.Int dst); ("kind", Json.Str kind); ("reason", Json.Str reason) ]
-    | View_installed { node; group; view; members } ->
-        [
-          ("node", Json.Int node);
-          ("group", Json.Str group);
-          ("view", Json.Str view);
-          ("members", Json.List (List.map (fun m -> Json.Int m) members));
-        ]
+    | View_installed { layer; node; group; view_seq; view_coord; members } ->
+        member_fields layer node group @ view_fields view_seq view_coord
+        @ [ ("members", Json.List (List.map (fun m -> Json.Int m) members)) ]
+    | Group_delivered { layer; node; group; view_seq; view_coord; origin; local_id } ->
+        member_fields layer node group @ view_fields view_seq view_coord
+        @ [ ("origin", Json.Int origin); ("local_id", Json.Int local_id) ]
+    | Group_left { layer; node; group } -> member_fields layer node group
     | Flush_begin { node; group; epoch } ->
         [ ("node", Json.Int node); ("group", Json.Str group); ("epoch", Json.Int epoch) ]
     | Flush_end { node; group; epoch; outcome } ->
@@ -143,20 +154,21 @@ let of_json json =
   let int key = Json.to_int (Json.member key json) in
   let str key = Json.to_str (Json.member key json) in
   let at_us = int "at_us" in
+  let layer () = layer_of_string (str "layer") in
   let event =
     match str "type" with
-    | "msg-sent" -> Msg_sent { src = int "src"; dst = int "dst"; kind = str "kind" }
     | "msg-delivered" ->
         Msg_delivered { src = int "src"; dst = int "dst"; kind = str "kind"; latency_us = int "latency_us" }
     | "msg-dropped" -> Msg_dropped { src = int "src"; dst = int "dst"; kind = str "kind"; reason = str "reason" }
     | "view-installed" ->
         View_installed
-          {
-            node = int "node";
-            group = str "group";
-            view = str "view";
-            members = List.map Json.to_int (Json.to_list (Json.member "members" json));
-          }
+          { layer = layer (); node = int "node"; group = str "group"; view_seq = int "view_seq";
+            view_coord = int "view_coord"; members = List.map Json.to_int (Json.to_list (Json.member "members" json)) }
+    | "group-delivered" ->
+        Group_delivered
+          { layer = layer (); node = int "node"; group = str "group"; view_seq = int "view_seq";
+            view_coord = int "view_coord"; origin = int "origin"; local_id = int "local_id" }
+    | "group-left" -> Group_left { layer = layer (); node = int "node"; group = str "group" }
     | "flush-begin" -> Flush_begin { node = int "node"; group = str "group"; epoch = int "epoch" }
     | "flush-end" -> Flush_end { node = int "node"; group = str "group"; epoch = int "epoch"; outcome = str "outcome" }
     | "ns-request" -> Ns_request { node = int "node"; req = int "req"; op = str "op"; server = int "server" }

@@ -13,11 +13,24 @@ val reconcile_step_to_string : reconcile_step -> string
 (** Raises [Invalid_argument] on an unknown step name. *)
 val reconcile_step_of_string : string -> reconcile_step
 
+(** The group layer an install, delivery or leave belongs to: the
+    heavy-weight carrier groups or the light-weight groups mapped on
+    them.  The two layers draw group ids independently, so the
+    virtual-synchrony checks key every group by its layer too. *)
+type layer = Hwg | Lwg
+
+val layer_to_string : layer -> string
+
+(** [View_installed], [Group_delivered] and [Group_left] are the
+    virtual-synchrony oracle's input: a view id is its sequence number
+    and coordinator, a message is its (origin, local id) pair. *)
 type t =
-  | Msg_sent of { src : int; dst : int; kind : string }
   | Msg_delivered of { src : int; dst : int; kind : string; latency_us : int }
   | Msg_dropped of { src : int; dst : int; kind : string; reason : string }
-  | View_installed of { node : int; group : string; view : string; members : int list }
+  | View_installed of { layer : layer; node : int; group : string; view_seq : int; view_coord : int; members : int list }
+  | Group_delivered of {
+      layer : layer; node : int; group : string; view_seq : int; view_coord : int; origin : int; local_id : int }
+  | Group_left of { layer : layer; node : int; group : string }
   | Flush_begin of { node : int; group : string; epoch : int }
   | Flush_end of { node : int; group : string; epoch : int; outcome : string }
   | Ns_request of { node : int; req : int; op : string; server : int }
@@ -43,9 +56,6 @@ type entry = { at_us : int; event : t }
 (** The leading identifier before the first '(' of a payload rendering,
     e.g. "seg" for "seg(c3,#12,hw-data(...))". *)
 val kind_prefix : string -> string
-
-(** Substring test used to classify application DATA traffic. *)
-val kind_contains : needle:string -> string -> bool
 
 val type_name : t -> string
 val to_json : entry -> Json.t

@@ -1,10 +1,11 @@
 (* Ring-buffered trace sink.  Bounded memory: once the ring is full the
    oldest entries are overwritten and counted as dropped.  Emission is a
-   couple of array writes, cheap enough to leave on during benchmarks. *)
+   couple of array writes, cheap enough to leave on during benchmarks.
+   The array doubles up to [capacity]: a short run costs short-run memory. *)
 
 type t = {
   capacity : int;
-  buf : Event.entry option array;
+  mutable buf : Event.entry option array; (* length reaches [capacity] before the ring wraps *)
   mutable emitted : int; (* total entries ever emitted *)
 }
 
@@ -12,9 +13,15 @@ let default_capacity = 1 lsl 19
 
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
-  { capacity; buf = Array.make capacity None; emitted = 0 }
+  { capacity; buf = Array.make (min capacity 1024) None; emitted = 0 }
 
 let emit t ~at_us event =
+  let len = Array.length t.buf in
+  if t.emitted = len && len < t.capacity then begin
+    let grown = Array.make (min t.capacity (2 * len)) None in
+    Array.blit t.buf 0 grown 0 len;
+    t.buf <- grown
+  end;
   t.buf.(t.emitted mod t.capacity) <- Some { Event.at_us; event };
   t.emitted <- t.emitted + 1
 
@@ -23,7 +30,7 @@ let length t = min t.emitted t.capacity
 let dropped t = max 0 (t.emitted - t.capacity)
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.emitted <- 0
 
 (* Oldest-first iteration over the retained window. *)

@@ -1,7 +1,8 @@
 (** Ring-buffered trace sink.  Bounded memory: once the ring is full the
     oldest entries are overwritten and counted as dropped.  Emission is
     a couple of array writes, cheap enough to leave on during
-    benchmarks. *)
+    benchmarks.  The ring's array grows by doubling up to its capacity,
+    so a short run does not pay for a long run's buffer. *)
 
 type t
 

@@ -304,19 +304,16 @@ let arrive t ~tick ~src ~dst ~sent_at payload =
   Plwg_util.Wheel.schedule t.queue ~tick ev
 [@@zero_alloc_hot]
 
-let note_sent t ~src ~dst payload =
+let note_sent t =
   t.sent <- t.sent + 1;
-  if t.net.observing then begin
-    count t "engine.sent";
-    trace t (fun () -> Plwg_obs.Event.Msg_sent { src; dst; kind = Payload.to_string payload })
-  end
+  if t.net.observing then count t "engine.sent"
 [@@zero_alloc_hot]
 
 let send t ~src ~dst payload =
   let net = t.net in
   if Topology.is_alive net.topology src then
     if src = dst then begin
-      note_sent t ~src ~dst payload;
+      note_sent t;
       t.in_flight <- t.in_flight + 1;
       enqueue_cpu t ~sent_at:t.now ~src ~dst payload
     end
@@ -326,12 +323,12 @@ let send t ~src ~dst payload =
     end
     else if net.model.Model.drop_prob > 0.0 && Plwg_util.Rng.bernoulli net.rngs.(src) net.model.Model.drop_prob
     then begin
-      note_sent t ~src ~dst payload;
+      note_sent t;
       t.wire_dropped <- t.wire_dropped + 1;
       drop t ~src ~dst ~reason:"wire" ~metric:metric_dropped_wire payload
     end
     else begin
-      note_sent t ~src ~dst payload;
+      note_sent t;
       t.in_flight <- t.in_flight + 1;
       let jitter =
         if net.model.Model.link_jitter = 0 then 0 else Plwg_util.Rng.int net.rngs.(src) (net.model.Model.link_jitter + 1)

@@ -89,11 +89,6 @@ type callbacks = {
 
 let no_callbacks = { on_view = (fun _ _ -> ()); on_data = (fun _ ~view_id:_ ~src:_ _ -> ()); on_stop = (fun _ -> ()) }
 
-type event =
-  | Installed of { node : Node_id.t; view : View.t }
-  | Delivered of { node : Node_id.t; group : Gid.t; view_id : View_id.t; origin : Node_id.t; local_id : int }
-  | Left of { node : Node_id.t; group : Gid.t }
-
 (* ------------------------------------------------------------------ *)
 (* Per-group state                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -169,7 +164,6 @@ type t = {
   detector : Detector.t;
   config : config;
   callbacks : callbacks;
-  recorder : (Time.t -> event -> unit) option;
   transport : Transport.t;
   states : gstate Plwg_util.Itbl.t; (* keyed by Gid.code *)
   seq_floor : int Plwg_util.Itbl.t; (* highest view seq seen per Gid.code, across incarnations *)
@@ -177,8 +171,6 @@ type t = {
 }
 
 let node t = t.node
-
-let record t event = match t.recorder with Some r -> r (Rt.now t.rt) event | None -> ()
 
 let lookup t group = Plwg_util.Itbl.find_opt t.states (Gid.code group)
 
@@ -251,7 +243,10 @@ let deliver_upcall t g msg ~view_id =
       | Some _ -> Deque.filter_in_place (fun (id, _) -> id <> msg.local_id) g.to_pending
       | None -> ()
     end;
-    record t (Delivered { node = t.node; group = g.group; view_id; origin = msg.origin; local_id = msg.local_id });
+    Rt.trace t.rt (fun () ->
+        Plwg_obs.Event.Group_delivered
+          { layer = Hwg; node = t.node; group = Gid.to_string g.group; view_seq = view_id.View_id.seq;
+            view_coord = view_id.View_id.coord; origin = msg.origin; local_id = msg.local_id });
     t.callbacks.on_data g.group ~view_id ~src:msg.origin msg.body
   end
 
@@ -413,16 +408,11 @@ let reset_for_view t g view =
   end;
   g.last_proposal <- Node_id.Set.empty;
   g.view_seq <- max g.view_seq view.View.id.View_id.seq;
-  record t (Installed { node = t.node; view });
   Rt.count t.rt "hwg.views_installed";
   Rt.trace t.rt (fun () ->
       Plwg_obs.Event.View_installed
-        {
-          node = t.node;
-          group = Gid.to_string g.group;
-          view = Format.asprintf "%a" View_id.pp view.View.id;
-          members = view.View.members;
-        });
+        { layer = Hwg; node = t.node; group = Gid.to_string g.group; view_seq = view.View.id.View_id.seq;
+          view_coord = view.View.id.View_id.coord; members = view.View.members });
   t.callbacks.on_view g.group view
 
 let after_install_resume t g =
@@ -460,7 +450,7 @@ let cancel_change t g change ~outcome =
 let remove_group t g =
   (match g.change with Some change -> cancel_change t g change ~outcome:"left" | None -> ());
   Plwg_util.Itbl.remove t.states (Gid.code g.group);
-  record t (Left { node = t.node; group = g.group })
+  Rt.trace t.rt (fun () -> Plwg_obs.Event.Group_left { layer = Hwg; node = t.node; group = Gid.to_string g.group })
 
 (* ------------------------------------------------------------------ *)
 (* The membership protocol                                             *)
@@ -1150,7 +1140,7 @@ let am_coordinator t group =
 
 (* A finalized view change clears want_flush: hook into install. *)
 
-let create ?(config = default_config) ?recorder ~transport ~detector callbacks node =
+let create ?(config = default_config) ~transport ~detector callbacks node =
   let rt = Transport.runtime transport in
   let endpoint = Transport.endpoint transport node in
   let t =
@@ -1161,7 +1151,6 @@ let create ?(config = default_config) ?recorder ~transport ~detector callbacks n
       detector;
       config;
       callbacks;
-      recorder;
       transport;
       states = Plwg_util.Itbl.create ();
       seq_floor = Plwg_util.Itbl.create ();

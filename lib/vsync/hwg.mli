@@ -6,7 +6,8 @@
     [join]/[leave]/[send]/[stop_ok] downcalls and [on_view]/[on_data]/
     [on_stop] upcalls.
 
-    Guarantees (checked by {!Recorder} in the test suite):
+    Guarantees, checked by [Plwg_harness.Trace_check] from the traced
+    [View_installed]/[Group_delivered]/[Group_left] events (layer [Hwg]):
     - {b self-inclusion}: a node only installs views it belongs to;
     - {b view agreement}: two nodes installing the same view id agree on
       its membership;
@@ -57,16 +58,8 @@ type callbacks = {
 
 val no_callbacks : callbacks
 
-(** Hook receiving protocol-level events, used by tests to check
-    virtual-synchrony invariants (see {!Recorder}). *)
-type event =
-  | Installed of { node : Node_id.t; view : View.t }
-  | Delivered of { node : Node_id.t; group : Gid.t; view_id : View_id.t; origin : Node_id.t; local_id : int }
-  | Left of { node : Node_id.t; group : Gid.t }
-
 val create :
   ?config:config ->
-  ?recorder:(Time.t -> event -> unit) ->
   transport:Plwg_transport.Transport.t ->
   detector:Plwg_detector.Detector.t ->
   callbacks ->

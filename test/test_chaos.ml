@@ -183,6 +183,21 @@ let test_heavy_118788_converges () =
   Alcotest.(check (list string)) "formerly-failing heavy seed converges" [] verdict.Chaos.failures;
   Alcotest.(check (list string)) "trace is seed-reproducible" [] (Chaos.check_determinism schedule)
 
+(* A ring that overflowed holds only the end of the run; the oracle
+   must fail such a run rather than pass its trace checks on what is
+   left. *)
+let test_oracle_fails_truncated_trace () =
+  let obs = Plwg_obs.create ~capacity:64 () in
+  let stack = Stack.create ~obs ~seed:3 ~mode:Stack.Direct ~n_app:3 () in
+  let lwg = Chaos.chaos_lwg 0 in
+  Array.iter (fun s -> Plwg.Service.join s lwg) stack.Stack.services;
+  Stack.run stack (Time.sec 6);
+  let dropped = Plwg_obs.Sink.dropped obs.Plwg_obs.sink in
+  Alcotest.(check bool) "the ring overflowed" true (dropped > 0);
+  Alcotest.(check (list string)) "truncation is the failure"
+    [ Printf.sprintf "trace: trace truncated: %d entries dropped" dropped ]
+    (Chaos.oracle stack ~lwgs:[ lwg ])
+
 let suite =
   [
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
@@ -195,4 +210,5 @@ let suite =
     Alcotest.test_case "replay: recovered node merge round" `Quick (replay "recovered merge" repro_recovered_merge);
     Alcotest.test_case "replay: sustained loss burst" `Quick (replay "loss burst" repro_loss_burst);
     Alcotest.test_case "heavy seed 118788 converges deterministically" `Slow test_heavy_118788_converges;
+    Alcotest.test_case "oracle fails a truncated trace" `Quick test_oracle_fails_truncated_trace;
   ]

@@ -25,7 +25,7 @@ let test_stddev () =
 let test_scenario_reaches_all_stages () =
   let outcome = Scenario.run ~seed:90 () in
   Alcotest.(check bool) "converged" true outcome.Scenario.converged;
-  Alcotest.(check (list string)) "invariants" [] outcome.Scenario.invariant_violations;
+  Alcotest.(check (list string)) "invariants" [] outcome.Scenario.trace_violations;
   let labels = List.map (fun s -> s.Scenario.label) outcome.Scenario.stages in
   List.iter
     (fun expected -> Alcotest.(check bool) (expected ^ " reached") true (List.mem expected labels))

@@ -7,7 +7,6 @@ module Sim_rt = Plwg_runtime.Sim_rt
 open Plwg_vsync.Types
 module Service = Plwg.Service
 module Stack = Plwg_harness.Stack
-module Recorder = Plwg_vsync.Recorder
 module Hwg = Plwg_vsync.Hwg
 
 type Payload.t += App of int
@@ -31,7 +30,7 @@ let received log ~node ~group =
     (List.filter_map (fun (n, g, src, v) -> if n = node && Gid.equal g group then Some (src, v) else None) !log)
 
 let check_invariants stack =
-  Alcotest.(check (list string)) "lwg invariants" [] (Recorder.check_all stack.Stack.recorder)
+  Alcotest.(check (list string)) "vs invariants" [] (Stack.check_vs stack)
 
 let view_at stack node group =
   match Service.view_of stack.Stack.services.(node) group with
@@ -567,7 +566,7 @@ let lwg_relay ~ordering ~seed =
     ()
   done;
   Stack.run stack (Time.sec 3);
-  (!violations, !answers, Recorder.check_all stack.Stack.recorder)
+  (!violations, !answers, Stack.check_vs stack)
 
 let test_lwg_causal_ordering () =
   List.iter
@@ -594,26 +593,62 @@ let test_lwg_total_rejected () =
     (Invalid_argument "Lwg.join: Total ordering is only available at the HWG level") (fun () ->
       Service.join ~ordering:Plwg_vsync.Types.Total stack.Stack.services.(0) (lwg 3))
 
+(* Random join/leave churn over three LWGs on five nodes, then a
+   settle span. *)
+let churn seed =
+  let stack, _ = make ~n:5 ~seed:(seed + 100) () in
+  let groups = [ lwg ~seq:1 0; lwg ~seq:2 0; lwg ~seq:3 0 ] in
+  let rng = Plwg_util.Rng.create ~seed:((seed * 7) + 3) in
+  (* seed members *)
+  List.iter (fun g -> Service.join stack.Stack.services.(0) g) groups;
+  Stack.run stack (Time.sec 8);
+  for _op = 1 to 12 do
+    let node = 1 + Plwg_util.Rng.int rng 4 in
+    let g = Plwg_util.Rng.pick rng groups in
+    (if Plwg_util.Rng.bool rng then Service.join stack.Stack.services.(node) g
+     else Service.leave stack.Stack.services.(node) g);
+    Stack.run stack (Time.ms (300 + Plwg_util.Rng.int rng 700))
+  done;
+  Stack.run stack (Time.sec 15);
+  (stack, groups)
+
 let prop_churn_converges =
   QCheck.Test.make ~name:"lwg: random join/leave churn converges" ~count:5
     QCheck.(int_bound 1000)
     (fun seed ->
-      let stack, _ = make ~n:5 ~seed:(seed + 100) () in
-      let groups = [ lwg ~seq:1 0; lwg ~seq:2 0; lwg ~seq:3 0 ] in
-      let rng = Plwg_util.Rng.create ~seed:(seed * 7 + 3) in
-      (* seed members *)
-      List.iter (fun g -> Service.join stack.Stack.services.(0) g) groups;
-      Stack.run stack (Time.sec 8);
-      for _op = 1 to 12 do
-        let node = 1 + Plwg_util.Rng.int rng 4 in
-        let g = Plwg_util.Rng.pick rng groups in
-        (if Plwg_util.Rng.bool rng then Service.join stack.Stack.services.(node) g
-         else Service.leave stack.Stack.services.(node) g);
-        Stack.run stack (Time.ms (300 + Plwg_util.Rng.int rng 700))
-      done;
-      Stack.run stack (Time.sec 15);
-      List.for_all (Stack.lwg_converged stack) groups
-      && Recorder.check_all stack.Stack.recorder = [])
+      let stack, groups = churn seed in
+      List.for_all (Stack.lwg_converged stack) groups && Stack.check_vs stack = [])
+
+(* Regression: node 0 alone moves its singleton view of an LWG to a
+   fresh carrier (interference rule), latching the view's lineage; the
+   merge round that follows the first peer's join found one view held
+   along one lineage, merged nothing and left the latch set, so the
+   carrier re-flushed about 1,500 times per simulated second to the
+   end of the run (1.6 million trace entries; the default ring holds
+   2^19).  The round now clears the latch. *)
+let test_churn_latch_clears () =
+  let stack, groups = churn 30 in
+  let flushes =
+    List.length
+      (List.filter
+         (fun { Plwg_obs.Event.event; _ } ->
+           match event with Plwg_obs.Event.Flush_begin _ -> true | _ -> false)
+         (Plwg_harness.Trace_check.entries stack.Stack.obs.Plwg_obs.sink))
+  in
+  Alcotest.(check bool) (Printf.sprintf "flushes settle (%d begun)" flushes) true (flushes < 500);
+  Alcotest.(check bool) "converged" true (List.for_all (Stack.lwg_converged stack) groups);
+  check_invariants stack
+
+(* Regression: a joiner that resolved a different carrier than the
+   coordinator's installed the coordinator's view (the joiner is on
+   both carriers) but kept its own mapping; when the coordinator later
+   left the joiner's carrier, the joiner shrank the view alone and the
+   two never met again.  The joiner now adopts the carrier the view
+   arrived on. *)
+let test_churn_joiner_follows_carrier () =
+  let stack, groups = churn 586 in
+  Alcotest.(check bool) "converged" true (List.for_all (Stack.lwg_converged stack) groups);
+  check_invariants stack
 
 let suite =
   [
@@ -646,4 +681,6 @@ let suite =
     Alcotest.test_case "lwg fifo can reorder" `Quick test_lwg_fifo_can_reorder;
     Alcotest.test_case "lwg total rejected" `Quick test_lwg_total_rejected;
     QCheck_alcotest.to_alcotest prop_churn_converges;
+    Alcotest.test_case "churn 30: merge round clears the latch" `Quick test_churn_latch_clears;
+    Alcotest.test_case "churn 586: joiner follows the carrier" `Quick test_churn_joiner_follows_carrier;
   ]

@@ -53,7 +53,7 @@ let test_metrics_registry () =
 
 (* ---------------- sink ---------------- *)
 
-let sent i = Event.Msg_sent { src = i; dst = i + 1; kind = "ping" }
+let sent i = Event.Msg_delivered { src = i; dst = i + 1; kind = "ping"; latency_us = 10 }
 
 let test_sink_orders_events () =
   let sink = Sink.create ~capacity:16 () in
@@ -78,10 +78,13 @@ let test_sink_ring_overwrites_oldest () =
 
 let one_of_each =
   [
-    Event.Msg_sent { src = 0; dst = 1; kind = "seg(c1,#0,hw-data(\"quoted\"))" };
+    Event.Msg_dropped { src = 0; dst = 1; kind = "seg(c1,#0,hw-data(\"quoted\"))"; reason = "wire" };
     Event.Msg_delivered { src = 0; dst = 1; kind = "seg"; latency_us = 120 };
     Event.Msg_dropped { src = 1; dst = 2; kind = "ack"; reason = "unreachable" };
-    Event.View_installed { node = 2; group = "g1.n0"; view = "v3@n2"; members = [ 0; 1; 2 ] };
+    Event.View_installed { layer = Event.Hwg; node = 2; group = "g1.n0"; view_seq = 3; view_coord = 2; members = [ 0; 1; 2 ] };
+    Event.Group_delivered
+      { layer = Event.Lwg; node = 1; group = "g7.n0"; view_seq = 3; view_coord = 2; origin = 0; local_id = 4 };
+    Event.Group_left { layer = Event.Lwg; node = 1; group = "g7.n0" };
     Event.Flush_begin { node = 0; group = "g1.n0"; epoch = 3 };
     Event.Flush_end { node = 0; group = "g1.n0"; epoch = 3; outcome = "installed" };
     Event.Ns_request { node = 1; req = 7; op = "ns-set"; server = 4 };
@@ -215,6 +218,60 @@ let test_scenario_trace_invariants () =
   (* the sink's metrics side saw traffic too *)
   Alcotest.(check bool) "messages counted" true (Metrics.counter obs.Obs.metrics "engine.delivered" > 0)
 
+(* ---------------- the oracles see real evidence ---------------- *)
+
+(* A checker fed no evidence passes vacuously.  These pin that the
+   events each oracle keys on are really in the traces of real runs. *)
+
+let test_scenario_has_data () =
+  let obs = Obs.create () in
+  let outcome = Plwg_harness.Scenario.run ~obs ~seed:42 () in
+  Alcotest.(check (list string)) "no trace violations" [] outcome.Plwg_harness.Scenario.trace_violations;
+  let data =
+    List.filter
+      (fun { Event.event; _ } ->
+        match event with Event.Msg_delivered { kind; _ } -> Trace_check.is_data kind | _ -> false)
+      (Sink.to_list obs.Obs.sink)
+  in
+  Alcotest.(check bool) "DATA deliveries for the cross-partition check" true (data <> [])
+
+module Stack = Plwg_harness.Stack
+
+type Plwg_sim.Payload.t += Hello
+
+let dynamic_run ?obs () =
+  let stack = Stack.create ?obs ~mode:Stack.Dynamic ~seed:3 ~n_app:3 () in
+  let lwg = Plwg.Service.fresh_gid stack.Stack.services.(0) in
+  Array.iter (fun s -> Plwg.Service.join s lwg) stack.Stack.services;
+  Stack.run stack (Plwg_sim.Time.sec 8);
+  Plwg.Service.send stack.Stack.services.(1) lwg Hello;
+  Stack.run stack (Plwg_sim.Time.sec 1);
+  stack
+
+let test_dynamic_traces_both_layers () =
+  let stack = dynamic_run () in
+  let layers =
+    List.filter_map
+      (function { Event.event = Event.Group_delivered { layer; _ }; _ } -> Some layer | _ -> None)
+      (Trace_check.entries stack.Stack.obs.Obs.sink)
+  in
+  let delivered layer = List.length (List.filter (fun l -> l = layer) layers) in
+  Alcotest.(check int) "lwg: one message, three members" 3 (delivered Event.Lwg);
+  Alcotest.(check bool) "hwg: the carrier delivered it" true (delivered Event.Hwg >= 3);
+  Alcotest.(check (list string)) "vs holds" [] (Stack.check_vs stack)
+
+let test_stack_vs_reports_truncation () =
+  let obs = Obs.create ~capacity:64 () in
+  let stack = dynamic_run ~obs () in
+  let dropped = Sink.dropped obs.Obs.sink in
+  Alcotest.(check bool) "the ring overflowed" true (dropped > 0);
+  Alcotest.(check (list string)) "truncation reported, no clean result"
+    [ Printf.sprintf "trace truncated: %d entries dropped" dropped ]
+    (Stack.check_vs stack);
+  Alcotest.check_raises "entries refuse a partial trace"
+    (Failure (Printf.sprintf "trace truncated: %d entries dropped" dropped))
+    (fun () -> ignore (Trace_check.entries obs.Obs.sink))
+
 let suite =
   [
     Alcotest.test_case "percentile nearest rank" `Quick test_percentile_nearest_rank;
@@ -228,4 +285,7 @@ let suite =
     Alcotest.test_case "cross-partition checker" `Quick test_cross_partition_checker;
     Alcotest.test_case "reconcile order checker" `Quick test_reconcile_order;
     Alcotest.test_case "scenario trace invariants" `Quick test_scenario_trace_invariants;
+    Alcotest.test_case "scenario 42 has data deliveries" `Quick test_scenario_has_data;
+    Alcotest.test_case "dynamic run traces both layers" `Quick test_dynamic_traces_both_layers;
+    Alcotest.test_case "stack vs check reports truncation" `Quick test_stack_vs_reports_truncation;
   ]

@@ -7,7 +7,6 @@ module Sim_rt = Plwg_runtime.Sim_rt
 open Plwg_vsync.Types
 module Service = Plwg.Service
 module Stack = Plwg_harness.Stack
-module Recorder = Plwg_vsync.Recorder
 module Hwg = Plwg_vsync.Hwg
 module Db = Plwg_naming.Db
 module Server = Plwg_naming.Server
@@ -29,7 +28,7 @@ let make ?(seed = 77) ~n () =
   (stack, log)
 
 let check_invariants stack =
-  Alcotest.(check (list string)) "lwg invariants" [] (Recorder.check_all stack.Stack.recorder)
+  Alcotest.(check (list string)) "vs invariants" [] (Stack.check_vs stack)
 
 let view_at stack node group =
   match Service.view_of stack.Stack.services.(node) group with

@@ -8,8 +8,8 @@ module Sim_rt = Plwg_runtime.Sim_rt
 module Domains_rt = Plwg_runtime_domains.Domains_rt
 module Conformance = Plwg_harness.Conformance
 module Cluster = Plwg_harness.Cluster
+module Trace_check = Plwg_harness.Trace_check
 module Hwg = Plwg_vsync.Hwg
-module Recorder = Plwg_vsync.Recorder
 
 type Payload.t += Ping of int
 
@@ -221,26 +221,31 @@ type driver = {
   apply : Fault.step -> unit;
   stats : unit -> Sim_rt.stats;
   in_flight : unit -> int;
+  obs : Plwg_obs.t;
 }
 
 let sim_driver ~model ~seed ~n_nodes =
-  let e = Sim_rt.create ~model ~seed ~n_nodes () in
+  let obs = Plwg_obs.create () in
+  let e = Sim_rt.create ~obs ~model ~seed ~n_nodes () in
   {
     rt = Sim_rt.rt e;
     run = (fun until -> Sim_rt.run e ~until);
     apply = Fault.apply e;
     stats = (fun () -> Sim_rt.stats e);
     in_flight = (fun () -> Sim_rt.in_flight e);
+    obs;
   }
 
 let domains_driver ~n_domains ~model ~seed ~n_nodes =
-  let b = Domains_rt.create ~model ~n_domains ~seed ~n_nodes () in
+  let obs = Plwg_obs.create () in
+  let b = Domains_rt.create ~obs ~model ~n_domains ~seed ~n_nodes () in
   {
     rt = Domains_rt.rt b;
     run = (fun until -> Domains_rt.run b ~until);
     apply = Domains_rt.apply b;
     stats = (fun () -> Domains_rt.stats b);
     in_flight = (fun () -> Domains_rt.in_flight b);
+    obs;
   }
 
 let stats_t =
@@ -336,7 +341,7 @@ let hwg_partition_heal d =
   let split = (members 0, members 2) in
   d.apply Fault.Heal;
   d.run (Time.sec 13);
-  (split, List.init 4 members, Recorder.check_all parts.Cluster.p_recorder, d.stats ())
+  (split, List.init 4 members, Trace_check.check_sink Trace_check.check_vs d.obs.Plwg_obs.sink, d.stats ())
 
 let test_hwg_partition_heal n_domains () =
   let model = Model.default in

@@ -6,8 +6,9 @@ open Plwg_sim
 module Sim_rt = Plwg_runtime.Sim_rt
 open Plwg_vsync.Types
 module Hwg = Plwg_vsync.Hwg
-module Recorder = Plwg_vsync.Recorder
 module Cluster = Plwg_harness.Cluster
+module Trace_check = Plwg_harness.Trace_check
+module Event = Plwg_obs.Event
 
 type Payload.t += App of int
 
@@ -33,8 +34,10 @@ let received log ~node ~group = List.rev (List.filter_map (fun (n, g, src, v) ->
 let check_converged cluster group msg =
   Alcotest.(check bool) msg true (Cluster.converged cluster group)
 
+let trace cluster = Trace_check.entries cluster.Cluster.obs.Plwg_obs.sink
+
 let check_invariants cluster =
-  Alcotest.(check (list string)) "trace invariants" [] (Recorder.check_all cluster.Cluster.recorder)
+  Alcotest.(check (list string)) "trace invariants" [] (Cluster.check_vs cluster)
 
 let test_singleton_view () =
   let cluster, _ = make_cluster ~n:3 () in
@@ -139,8 +142,8 @@ let test_last_member_leave () =
   Alcotest.(check bool) "gone" false (Hwg.is_member cluster.Cluster.hwgs.(0) group);
   Alcotest.(check (list string)) "left recorded" [ "left" ]
     (List.filter_map
-       (function _, Hwg.Left { node = 0; _ } -> Some "left" | _ -> None)
-       (Recorder.events cluster.Cluster.recorder));
+       (function { Event.event = Event.Group_left { node = 0; _ }; _ } -> Some "left" | _ -> None)
+       (trace cluster));
   check_invariants cluster
 
 let test_crash_removes_member () =
@@ -315,7 +318,7 @@ let test_manual_stop_ok () =
   Cluster.run c (Time.sec 5);
   Alcotest.(check bool) "view formed" true (Hwg.is_member c.Cluster.hwgs.(2) group);
   Alcotest.(check bool) "stop upcalls happened" true (List.length !stops > 0);
-  Alcotest.(check (list string)) "invariants" [] (Recorder.check_all c.Cluster.recorder)
+  Alcotest.(check (list string)) "invariants" [] (Cluster.check_vs c)
 
 let test_total_order () =
   let cluster, log = make_cluster ~n:4 ~seed:13 () in
@@ -334,7 +337,7 @@ let test_total_order () =
       List.iter (fun other -> Alcotest.(check (list (pair int int))) "same total order" first other) rest
   | [] -> ());
   Alcotest.(check (list string)) "total order invariant" []
-    (Recorder.check_total_order cluster.Cluster.recorder ~group);
+    (Trace_check.check_total_order ~layer:Event.Hwg ~group:(Gid.to_string group) (trace cluster));
   check_invariants cluster
 
 let test_total_order_survives_coordinator_crash () =
@@ -359,7 +362,7 @@ let test_total_order_survives_coordinator_crash () =
     (fun i -> Alcotest.(check bool) (Printf.sprintf "message %d delivered" i) true (List.mem i values))
     [ 11; 12; 13; 14; 15 ];
   Alcotest.(check (list string)) "total order invariant" []
-    (Recorder.check_total_order cluster.Cluster.recorder ~group);
+    (Trace_check.check_total_order ~layer:Event.Hwg ~group:(Gid.to_string group) (trace cluster));
   check_invariants cluster
 
 let test_two_groups_independent () =
@@ -538,7 +541,7 @@ let causal_relay ~ordering ~seed =
     ()
   done;
   Cluster.run cluster (Time.sec 3);
-  let invariants = Recorder.check_all cluster.Cluster.recorder in
+  let invariants = Cluster.check_vs cluster in
   (!violations, !pongs, invariants)
 
 let test_causal_never_violates () =
@@ -613,7 +616,7 @@ let stress_once seed =
   done;
   Sim_rt.heal cluster.Cluster.engine;
   Cluster.run cluster (Time.sec 8);
-  let violations = Recorder.check_all cluster.Cluster.recorder in
+  let violations = Cluster.check_vs cluster in
   let converged = Cluster.converged cluster group in
   (violations, converged)
 
