@@ -89,88 +89,6 @@ let ablation_cmd =
   in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the ablation experiments.") Term.(const run $ which_arg)
 
-(* ---------------- stress ---------------- *)
-
-let stress_cmd =
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"First seed.") in
-  let runs_arg = Arg.(value & opt int 10 & info [ "runs" ] ~docv:"RUNS" ~doc:"Number of random schedules.") in
-  let nodes_arg = Arg.(value & opt int 6 & info [ "nodes" ] ~docv:"NODES" ~doc:"Application nodes.") in
-  let run seed runs n_app trace metrics =
-    let open Plwg_sim in
-    let failures = ref 0 in
-    (* One metrics registry accumulates across every schedule, but each
-       run gets its own sink so the trace checker sees one schedule at a
-       time. *)
-    let shared_metrics = Plwg_obs.Metrics.create () in
-    let trace_oc = Option.map open_out trace in
-    for i = 0 to runs - 1 do
-      let seed = seed + (37 * i) in
-      let obs = { Plwg_obs.sink = Plwg_obs.Sink.create (); metrics = shared_metrics } in
-      let stack = Plwg_harness.Stack.create ~obs ~mode:Plwg_harness.Stack.Dynamic ~seed ~n_app () in
-      let group = Plwg.Service.fresh_gid stack.Plwg_harness.Stack.services.(0) in
-      Array.iter (fun s -> Plwg.Service.join s group) stack.Plwg_harness.Stack.services;
-      Plwg_harness.Stack.run stack (Time.sec 12);
-      let rng = Plwg_util.Rng.create ~seed:(seed * 13) in
-      for _round = 1 to 4 do
-        (match Plwg_util.Rng.int rng 3 with
-        | 0 ->
-            let cut = 1 + Plwg_util.Rng.int rng (n_app - 1) in
-            let servers = stack.Plwg_harness.Stack.server_nodes in
-            let left = List.init cut (fun i -> i) @ [ List.hd servers ] in
-            let right =
-              List.init (n_app - cut) (fun i -> cut + i) @ List.tl servers
-            in
-            Sim_rt.set_partition stack.Plwg_harness.Stack.engine [ left; right ]
-        | 1 -> Sim_rt.heal stack.Plwg_harness.Stack.engine
-        | _ -> ());
-        Plwg_harness.Stack.run stack (Time.sec 5)
-      done;
-      Sim_rt.heal stack.Plwg_harness.Stack.engine;
-      Plwg_harness.Stack.run stack (Time.sec 25);
-      (* in_flight/in_flight_peak are O(1) counters, so sampling every
-         node's transport backlog after a schedule costs nothing *)
-      let peak_unacked =
-        List.fold_left
-          (fun acc node ->
-            max acc
-              (Plwg_transport.Transport.in_flight_peak
-                 (Plwg_transport.Transport.endpoint stack.Plwg_harness.Stack.transport node)))
-          0
-          (stack.Plwg_harness.Stack.app_nodes @ stack.Plwg_harness.Stack.server_nodes)
-      in
-      (match trace_oc with Some oc -> Plwg_obs.Sink.dump_jsonl obs.Plwg_obs.sink oc | None -> ());
-      let n_nodes = n_app + List.length stack.Plwg_harness.Stack.server_nodes in
-      let trace_violations =
-        (* reconcile order is scripted only in the scenario command;
-           random schedules merge in whatever order traffic dictates *)
-        Plwg_harness.Trace_check.check_sink
-          (fun entries ->
-            Plwg_harness.Trace_check.check_vs entries
-            @ Plwg_harness.Trace_check.check_flush_pairing ~allow_open:true entries
-            @ Plwg_harness.Trace_check.check_no_cross_partition_delivery ~n_nodes entries)
-          obs.Plwg_obs.sink
-      in
-      let ok = Plwg_harness.Stack.lwg_converged stack group && List.is_empty trace_violations in
-      Printf.printf "seed %-6d %s  (peak unacked %d)\n%!" seed (if ok then "ok" else "FAILED") peak_unacked;
-      List.iter (fun v -> Printf.printf "        trace: %s\n" v) trace_violations;
-      if not ok then incr failures
-    done;
-    (match trace_oc with
-    | Some oc ->
-        close_out oc;
-        Printf.printf "trace: written to %s\n" (Option.get trace)
-    | None -> ());
-    if metrics then Plwg_obs.Metrics.report Format.std_formatter shared_metrics;
-    if !failures > 0 then begin
-      Printf.printf "%d of %d schedules failed\n" !failures runs;
-      exit 1
-    end
-    else Printf.printf "all %d schedules converged with invariants intact\n" runs
-  in
-  Cmd.v
-    (Cmd.info "stress" ~doc:"Random partition/heal schedules; checks convergence and invariants.")
-    Term.(const run $ seed_arg $ runs_arg $ nodes_arg $ trace_arg $ metrics_arg)
-
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
@@ -348,6 +266,6 @@ let main_cmd =
   let doc = "Partitionable Light-Weight Groups (Rodrigues & Guo, ICDCS 2000) - reproduction driver" in
   Cmd.group
     (Cmd.info "plwg" ~version:"1.0.0" ~doc)
-    [ figure2_cmd; scenario_cmd; ablation_cmd; stress_cmd; chaos_cmd; conformance_cmd; check_cmd ]
+    [ figure2_cmd; scenario_cmd; ablation_cmd; chaos_cmd; conformance_cmd; check_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

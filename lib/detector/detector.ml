@@ -10,9 +10,11 @@ let () =
 
 type status = Reachable | Unreachable
 
-type config = { period : Time.span; timeout : Time.span }
+(* heartbeat broadcast interval *)
+let period = Time.ms 100
 
-let default_config = { period = Time.ms 100; timeout = Time.ms 350 }
+(* silence before suspicion; a few periods *)
+let timeout = Time.ms 350
 
 (* Reachability is tracked twice: [reach] (flat bool array) answers the
    per-heartbeat membership probe and [status] in O(1) with no tree
@@ -24,7 +26,6 @@ type t = {
   node : Node_id.t;
   rt : Rt.t;
   transport : Plwg_transport.Transport.t;
-  config : config;
   last_heard : Time.t array; (* per peer; negative = never heard *)
   reach : bool array; (* per peer; self stays false *)
   mutable with_self : Node_id.Set.t; (* reachable peers + self *)
@@ -58,7 +59,7 @@ let sweep t =
   for peer = 0 to Array.length t.reach - 1 do
     if t.reach.(peer) then begin
       let heard = t.last_heard.(peer) in
-      if heard < 0 || Time.diff now heard > t.config.timeout then mark_unreachable t peer
+      if heard < 0 || Time.diff now heard > timeout then mark_unreachable t peer
     end
   done
 [@@zero_alloc_hot]
@@ -69,7 +70,7 @@ let tick t =
     sweep t
   end
 
-let create ?(config = default_config) transport node =
+let create transport node =
   let rt = Plwg_transport.Transport.runtime transport in
   let n_nodes = Rt.n_nodes rt in
   let t =
@@ -77,7 +78,6 @@ let create ?(config = default_config) transport node =
       node;
       rt;
       transport;
-      config;
       last_heard = Array.make n_nodes (-1);
       reach = Array.make n_nodes false;
       with_self = Node_id.Set.singleton node;
@@ -98,7 +98,7 @@ let create ?(config = default_config) transport node =
   let stagger = Time.us (node * 137) in
   let rec loop () =
     tick t;
-    Rt.at_node_ rt node t.config.period loop
+    Rt.at_node_ rt node period loop
   in
   Rt.at_node_ rt node stagger loop;
   t

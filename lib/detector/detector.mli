@@ -1,11 +1,11 @@
 (** Heartbeat failure / reachability detector.
 
     Every node periodically broadcasts a heartbeat to the whole universe
-    (modelling a LAN multicast).  A peer is [Reachable] while heartbeats
-    keep arriving and becomes [Unreachable] after [timeout] of silence.
-    Crashes, network partitions and "virtual partitions" caused by
-    congestion all look the same here — exactly the asynchronous-system
-    assumption the paper builds on (Section 4).
+    (modelling a LAN multicast) every 100 ms.  A peer is [Reachable]
+    while heartbeats keep arriving and becomes [Unreachable] after
+    350 ms of silence.  Crashes, network partitions and "virtual
+    partitions" caused by congestion all look the same here — exactly
+    the asynchronous-system assumption the paper builds on (Section 4).
 
     The detector also performs {e peer discovery}: the first heartbeat
     from a previously silent node flips it to [Reachable], which is what
@@ -15,15 +15,7 @@ type t
 
 type status = Reachable | Unreachable
 
-type config = {
-  period : Plwg_sim.Time.span;  (** heartbeat broadcast interval *)
-  timeout : Plwg_sim.Time.span;  (** silence before suspicion; should be a few periods *)
-}
-
-val default_config : config
-(** 100 ms heartbeats, 350 ms suspicion timeout. *)
-
-val create : ?config:config -> Plwg_transport.Transport.t -> Plwg_sim.Node_id.t -> t
+val create : Plwg_transport.Transport.t -> Plwg_sim.Node_id.t -> t
 (** Create and start the detector for one node. *)
 
 val node : t -> Plwg_sim.Node_id.t

@@ -15,7 +15,7 @@ let lwg seq = { Gid.seq = 1_000_000 + seq; origin = 0 }
 let mixed_groups = [ (lwg 1, 8); (lwg 2, 8); (lwg 3, 4); (lwg 4, 4); (lwg 5, 2); (lwg 6, 1) ]
 
 let run_mixed ~params ~policy_period ~seed =
-  let config = { Service.default_config with Service.params; policy_period } in
+  let config = { Service.params; policy_period } in
   let stack = Stack.create ~config ~mode:Stack.Dynamic ~seed ~n_app:8 () in
   List.iteri
     (fun i (g, width) ->

@@ -109,7 +109,7 @@ let mode_of_string = function
   | "dynamic" -> Ok Stack.Dynamic
   | other -> Error (Printf.sprintf "unknown mode %S (expected direct, static or dynamic)" other)
 
-let n_servers_of_mode = function Stack.Dynamic -> 2 | Stack.Direct | Stack.Static -> 0
+let n_servers_of_mode = function Stack.Dynamic -> Stack.n_servers | Stack.Direct | Stack.Static -> 0
 
 let n_nodes_of schedule = schedule.profile.n_app + n_servers_of_mode schedule.mode
 
@@ -314,11 +314,11 @@ let oracle stack ~lwgs =
   in
   let n_nodes = List.length stack.Stack.app_nodes + List.length stack.Stack.server_nodes in
   (* Reconcile order is deliberately not checked: random schedules merge
-     in whatever order traffic dictates (same reasoning as the stress
-     command).  Flush pairing runs strict — the settle tail recovers
-     every node, so even a coordinator crashed mid-flush must close its
-     change on the recovery path.  A truncated trace is a failure: the
-     checks would otherwise pass on what the ring threw away. *)
+     in whatever order traffic dictates.  Flush pairing runs strict —
+     the settle tail recovers every node, so even a coordinator crashed
+     mid-flush must close its change on the recovery path.  A truncated
+     trace is a failure: the checks would otherwise pass on what the
+     ring threw away. *)
   let trace_failures =
     Trace_check.check_sink
       (fun entries ->

@@ -19,22 +19,19 @@ type t = {
   hwgs : Hwg.t array;
 }
 
-let wire ?(hwg_config = Hwg.default_config) ?(detector_config = Detector.default_config)
-    ?(callbacks = fun _ -> Hwg.no_callbacks) rt =
+let wire ?(callbacks = fun _ -> Hwg.no_callbacks) rt =
   let n_nodes = Rt.n_nodes rt in
   let transport = Transport.create rt in
-  let detectors = Array.init n_nodes (fun node -> Detector.create ~config:detector_config transport node) in
+  let detectors = Array.init n_nodes (fun node -> Detector.create transport node) in
   let hwgs =
-    Array.init n_nodes (fun node ->
-        Hwg.create ~config:hwg_config ~transport ~detector:detectors.(node) (callbacks node) node)
+    Array.init n_nodes (fun node -> Hwg.create ~transport ~detector:detectors.(node) (callbacks node) node)
   in
   { p_transport = transport; p_detectors = detectors; p_hwgs = hwgs }
 
-let create ?obs ?(model = Model.default) ?(hwg_config = Hwg.default_config)
-    ?(detector_config = Detector.default_config) ?(callbacks = fun _ -> Hwg.no_callbacks) ~seed ~n_nodes () =
+let create ?obs ?(model = Model.default) ?(callbacks = fun _ -> Hwg.no_callbacks) ~seed ~n_nodes () =
   let obs = match obs with Some obs -> obs | None -> Plwg_obs.create () in
   let engine = Sim_rt.create ~obs ~model ~seed ~n_nodes () in
-  let parts = wire ~hwg_config ~detector_config ~callbacks (Sim_rt.rt engine) in
+  let parts = wire ~callbacks (Sim_rt.rt engine) in
   {
     engine;
     obs;

@@ -16,8 +16,6 @@ type parts = {
 (** The HWG stack above the runtime, backend-agnostic. *)
 
 val wire :
-  ?hwg_config:Plwg_vsync.Hwg.config ->
-  ?detector_config:Plwg_detector.Detector.config ->
   ?callbacks:(Node_id.t -> Plwg_vsync.Hwg.callbacks) ->
   Plwg_runtime.Rt.t ->
   parts
@@ -34,8 +32,6 @@ type t = {
 val create :
   ?obs:Plwg_obs.t ->
   ?model:Model.t ->
-  ?hwg_config:Plwg_vsync.Hwg.config ->
-  ?detector_config:Plwg_detector.Detector.config ->
   ?callbacks:(Node_id.t -> Plwg_vsync.Hwg.callbacks) ->
   seed:int ->
   n_nodes:int ->

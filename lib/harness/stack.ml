@@ -34,10 +34,11 @@ type t = {
   server_nodes : Node_id.t list;
 }
 
+let n_servers = 2
+
 let static_hwg = { Plwg_vsync.Types.Gid.seq = 500_000; origin = 0 }
 
-let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.default_config)
-    ?(detector_config = Detector.default_config) ?(ns_config = Server.default_config)
+let wire ?(config = Service.default_config) ?(ns_config = Server.default_config)
     ?(callbacks = fun _ -> Service.no_callbacks) ~mode ~n_app rt =
   (* Node layout: app nodes are [0 .. n_app-1]; whatever the runtime has
      beyond them are naming replicas (Dynamic mode only). *)
@@ -47,7 +48,7 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
   | Dynamic when with_servers <= 0 -> invalid_arg "Stack.wire: Dynamic mode needs naming replica nodes"
   | Dynamic | Direct | Static -> ());
   let transport = Transport.create rt in
-  let detectors = Array.init n_nodes (fun node -> Detector.create ~config:detector_config transport node) in
+  let detectors = Array.init n_nodes (fun node -> Detector.create transport node) in
   let app_nodes = List.init n_app (fun i -> i) in
   let server_nodes = match mode with Dynamic -> List.init with_servers (fun i -> n_app + i) | Direct | Static -> [] in
   let ns_servers =
@@ -71,7 +72,7 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
   let services =
     Array.init n_app (fun node ->
         let ns = match mode with Dynamic -> Some ns_clients.(node) | Direct | Static -> None in
-        Service.create ~config ~hwg_config ~mode:service_mode ~transport ~detector:detectors.(node) ?ns
+        Service.create ~config ~mode:service_mode ~transport ~detector:detectors.(node) ?ns
           (callbacks node) node)
   in
   {
@@ -85,14 +86,12 @@ let wire ?(config = Service.default_config) ?(hwg_config = Plwg_vsync.Hwg.defaul
   }
 
 let create ?obs ?(model = Model.default) ?(seed = 42) ?(config = Service.default_config)
-    ?(hwg_config = Plwg_vsync.Hwg.default_config) ?(detector_config = Detector.default_config)
-    ?(ns_config = Server.default_config) ?(n_servers = 2) ?(callbacks = fun _ -> Service.no_callbacks) ~mode
-    ~n_app () =
+    ?(ns_config = Server.default_config) ?(callbacks = fun _ -> Service.no_callbacks) ~mode ~n_app () =
   let with_servers = match mode with Dynamic -> n_servers | Direct | Static -> 0 in
   let n_nodes = n_app + with_servers in
   let obs = match obs with Some obs -> obs | None -> Plwg_obs.create () in
   let engine = Sim_rt.create ~obs ~model ~seed ~n_nodes () in
-  let parts = wire ~config ~hwg_config ~detector_config ~ns_config ~callbacks ~mode ~n_app (Sim_rt.rt engine) in
+  let parts = wire ~config ~ns_config ~callbacks ~mode ~n_app (Sim_rt.rt engine) in
   {
     engine;
     obs;

@@ -24,8 +24,6 @@ type parts = {
 
 val wire :
   ?config:Plwg.Service.config ->
-  ?hwg_config:Plwg_vsync.Hwg.config ->
-  ?detector_config:Plwg_detector.Detector.config ->
   ?ns_config:Plwg_naming.Server.config ->
   ?callbacks:(Node_id.t -> Plwg.Service.callbacks) ->
   mode:service_mode ->
@@ -48,6 +46,9 @@ type t = {
   server_nodes : Node_id.t list;
 }
 
+val n_servers : int
+(** Naming replicas {!create} adds in [Dynamic] mode. *)
+
 val static_hwg : Plwg_vsync.Types.Gid.t
 (** The designated global HWG used by [Static] mode. *)
 
@@ -56,17 +57,14 @@ val create :
   ?model:Model.t ->
   ?seed:int ->
   ?config:Plwg.Service.config ->
-  ?hwg_config:Plwg_vsync.Hwg.config ->
-  ?detector_config:Plwg_detector.Detector.config ->
   ?ns_config:Plwg_naming.Server.config ->
-  ?n_servers:int ->
   ?callbacks:(Node_id.t -> Plwg.Service.callbacks) ->
   mode:service_mode ->
   n_app:int ->
   unit ->
   t
 (** Node layout: app nodes are [0 .. n_app-1]; naming replicas (Dynamic
-    mode only, [n_servers] of them, default 2) occupy the next ids.
+    mode only, {!n_servers} of them) occupy the next ids.
     [obs] defaults to a fresh {!Plwg_obs.create}. *)
 
 val run : t -> Time.span -> unit

@@ -8,26 +8,20 @@ module Db = Plwg_naming.Db
 module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
 
+(* silence before a joiner forms a singleton LWG view *)
+let join_grace = Time.ms 1500
+
+(* local peer-discovery gossip interval *)
+let gossip_period = Time.ms 300
+
+(* how long a HWG may stay useless before we leave it *)
+let shrink_grace = Time.sec 2
+
 type mode = Direct | Static of Gid.t | Dynamic
 
-type config = {
-  params : Policy.params;
-  policy_period : Time.span;
-  join_retry : Time.span;
-  join_grace : Time.span;
-  gossip_period : Time.span;
-  shrink_grace : Time.span;
-}
+type config = { params : Policy.params; policy_period : Time.span }
 
-let default_config =
-  {
-    params = Policy.default_params;
-    policy_period = Time.sec 1;
-    join_retry = Time.ms 250;
-    join_grace = Time.ms 1500;
-    gossip_period = Time.ms 300;
-    shrink_grace = Time.sec 2;
-  }
+let default_config = { params = Policy.default_params; policy_period = Time.sec 1 }
 
 type callbacks = {
   on_view : Gid.t -> View.t -> unit;
@@ -1102,7 +1096,7 @@ let run_policies_now t =
                 match hs.empty_since with
                 | None -> hs.empty_since <- Some now
                 | Some since ->
-                    if Time.diff now since > t.config.shrink_grace then to_leave := hgid :: !to_leave))
+                    if Time.diff now since > shrink_grace then to_leave := hgid :: !to_leave))
         t.hstates;
       List.iter
         (fun hgid ->
@@ -1151,7 +1145,7 @@ let[@transition] tick t =
               l.status <- Joining_hwg;
               Hwg.join t.hwg h
           | Some h ->
-              if Time.diff now a.a_since > t.config.join_grace then begin
+              if Time.diff now a.a_since > join_grace then begin
                 (* nobody answered: I am the first member.  The sequence
                    floor keeps view ids unique across leave/rejoin
                    incarnations of this process. *)
@@ -1340,7 +1334,7 @@ let[@transition] mark_lineage_rejoined t node =
     (fun _ (l : lstate) -> if Option.is_some l.view then l.lineage <- L_rejoined node)
     t.lstates
 
-let create ?(config = default_config) ?hwg_config ~mode ~transport ~detector ?ns callbacks node =
+let create ?(config = default_config) ~mode ~transport ~detector ?ns callbacks node =
   (match (mode, ns) with
   | Dynamic, None -> invalid_arg "Lwg.create: Dynamic mode requires a naming-service client"
   | _, _ -> ());
@@ -1353,16 +1347,16 @@ let create ?(config = default_config) ?hwg_config ~mode ~transport ~detector ?ns
         {
           Hwg.on_view = (fun group view -> with_t (fun t -> t.callbacks.on_view group view));
           Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> t.callbacks.on_data group ~src payload));
-          Hwg.on_stop = (fun _ -> ());
+          Hwg.on_stop = None;
         }
     | Static _ | Dynamic ->
         {
           Hwg.on_view = (fun group view -> with_t (fun t -> handle_hwg_view t group view));
           Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> handle_hwg_data t ~carrier:group ~src payload));
-          Hwg.on_stop = (fun _ -> ());
+          Hwg.on_stop = None;
         }
   in
-  let hwg = Hwg.create ?config:hwg_config ~transport ~detector hwg_callbacks node in
+  let hwg = Hwg.create ~transport ~detector hwg_callbacks node in
   let t =
     {
       node;
@@ -1398,7 +1392,7 @@ let create ?(config = default_config) ?hwg_config ~mode ~transport ~detector ?ns
       in
       let rec gossip_loop () =
         if Rt.is_alive t.rt node then gossip t;
-        Rt.at_node_ t.rt node config.gossip_period gossip_loop
+        Rt.at_node_ t.rt node gossip_period gossip_loop
       in
       let rec policy_loop () =
         if Rt.is_alive t.rt node then run_policies_now t;
@@ -1406,7 +1400,7 @@ let create ?(config = default_config) ?hwg_config ~mode ~transport ~detector ?ns
       in
       let jitter period salt = Time.us (((node * 7919) + salt) mod period) in
       Rt.at_node_ t.rt node (jitter (Time.ms 150) 13) tick_loop;
-      Rt.at_node_ t.rt node (jitter config.gossip_period 101) gossip_loop;
+      Rt.at_node_ t.rt node (jitter gossip_period 101) gossip_loop;
       (* the first policy run waits one full period: evaluating the
          Figure 1 rules while groups are still forming causes exactly
          the switch cascades the paper's slow period is meant to avoid *)

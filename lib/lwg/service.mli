@@ -30,15 +30,12 @@ type mode =
   | Dynamic
 
 type config = {
-  params : Policy.params;
+  params : Policy.params;  (** the Figure 1 [k_m]/[k_c] rules *)
   policy_period : Time.span;  (** how often the Figure 1 rules run (paper: 1 min) *)
-  join_retry : Time.span;  (** JOIN-REQ re-announce interval *)
-  join_grace : Time.span;  (** silence before a joiner forms a singleton LWG view *)
-  gossip_period : Time.span;  (** local peer-discovery gossip interval *)
-  shrink_grace : Time.span;  (** how long a HWG may stay useless before we leave it *)
 }
 
 val default_config : config
+(** {!Policy.default_params}, rules run every second. *)
 
 type callbacks = {
   on_view : Gid.t -> View.t -> unit;
@@ -51,7 +48,6 @@ type t
 
 val create :
   ?config:config ->
-  ?hwg_config:Plwg_vsync.Hwg.config ->
   mode:mode ->
   transport:Plwg_transport.Transport.t ->
   detector:Plwg_detector.Detector.t ->
@@ -97,9 +93,6 @@ val switch_count : t -> int
 
 val merge_count : t -> int
 (** LWG view merges computed at this node (ablation metric). *)
-
-val run_policies_now : t -> unit
-(** Force one round of the Figure 1 rules (normally periodic). *)
 
 type state_callbacks = {
   capture : Gid.t -> Payload.t;

@@ -5,9 +5,14 @@ open Protocol
 module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
 
-type config = { request_timeout : Time.span; max_attempts : int; backoff_cap : Time.span }
+(* timeout for the first attempt; doubles per retry *)
+let request_timeout = Time.ms 800
 
-let default_config = { request_timeout = Time.ms 800; max_attempts = 6; backoff_cap = Time.sec 5 }
+(* attempts before the request gives up *)
+let max_attempts = 6
+
+(* upper bound on the per-attempt timeout (before jitter) *)
+let backoff_cap = Time.sec 5
 
 type reply = Entries of (Db.entry list -> unit) | Ack of (bool -> unit)
 
@@ -25,7 +30,6 @@ type t = {
   rt : Rt.t;
   endpoint : Transport.endpoint;
   detector : Detector.t;
-  config : config;
   rng : Plwg_util.Rng.t;
   servers : Node_id.t list;
   mutable next_req : int;
@@ -51,7 +55,7 @@ let pick_server t ~attempt ~last =
    lock-step. *)
 let timeout_for t p =
   let shift = min p.attempt 16 in
-  let base = min (t.config.request_timeout * (1 lsl shift)) t.config.backoff_cap in
+  let base = min (request_timeout * (1 lsl shift)) backoff_cap in
   let jitter = if base >= 4 then Plwg_util.Rng.int t.rng (base / 4) else 0 in
   base + jitter
 
@@ -79,7 +83,7 @@ let rec transmit t req p =
         Rt.after_node t.rt t.node (timeout_for t p) (fun () ->
             if Hashtbl.mem t.pending req then begin
               p.attempt <- p.attempt + 1;
-              if p.attempt >= t.config.max_attempts then give_up t req p else transmit t req p
+              if p.attempt >= max_attempts then give_up t req p else transmit t req p
             end)
 
 let request t make reply =
@@ -126,7 +130,7 @@ let handle t payload =
   | Ns_set _ | Ns_read _ | Ns_testset _ | Ns_gossip _ -> ()
   | _ -> ()
 
-let create ?(config = default_config) ~transport ~detector ~servers node =
+let create ~transport ~detector ~servers node =
   let rt = Transport.runtime transport in
   let endpoint = Transport.endpoint transport node in
   let t =
@@ -135,7 +139,6 @@ let create ?(config = default_config) ~transport ~detector ~servers node =
       rt;
       endpoint;
       detector;
-      config;
       rng = Plwg_util.Rng.split (Rt.rng_node rt node);
       servers;
       next_req = 0;
@@ -154,7 +157,7 @@ let create ?(config = default_config) ~transport ~detector ~servers node =
           if Hashtbl.mem t.pending req then begin
             p.timer ();
             p.attempt <- p.attempt + 1;
-            if p.attempt >= t.config.max_attempts then give_up t req p else transmit t req p
+            if p.attempt >= max_attempts then give_up t req p else transmit t req p
           end)
         stuck);
   t

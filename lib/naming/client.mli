@@ -3,35 +3,26 @@
     The three primitives are asynchronous: each takes a continuation
     invoked with the reply.  The client targets a reachable replica
     (per its failure detector) and retries on timeout with bounded
-    exponential backoff plus seeded jitter, rotating to a different
-    replica whenever more than one candidate exists — so requests
-    survive replica crashes and partitions as long as one replica is
-    reachable, mirroring the paper's placement assumption of "at least
-    one server available in each partition", without a single slow
-    replica absorbing the whole retry budget.
+    exponential backoff (800 ms first, doubling, capped at 5 s) plus
+    seeded jitter, rotating to a different replica whenever more than
+    one candidate exists — so requests survive replica crashes and
+    partitions as long as one replica is reachable, mirroring the
+    paper's placement assumption of "at least one server available in
+    each partition", without a single slow replica absorbing the whole
+    retry budget.
 
-    Every request terminates: once [max_attempts] time out (or no
-    replica is configured) the client gives up and invokes the
-    continuation with an explicit failure — [false] for [set], the
-    empty entry list for [read]/[test_and_set] — and emits an
-    [Ns_give_up] trace event.  Callers never hang on a dead naming
-    service. *)
+    Every request terminates: once 6 attempts time out (or no replica
+    is configured) the client gives up and invokes the continuation
+    with an explicit failure — [false] for [set], the empty entry list
+    for [read]/[test_and_set] — and emits an [Ns_give_up] trace event.
+    Callers never hang on a dead naming service. *)
 
 open Plwg_sim
 open Plwg_vsync.Types
 
 type t
 
-type config = {
-  request_timeout : Time.span;  (** timeout for the first attempt; doubles per retry *)
-  max_attempts : int;
-  backoff_cap : Time.span;  (** upper bound on the per-attempt timeout (before jitter) *)
-}
-
-val default_config : config
-
 val create :
-  ?config:config ->
   transport:Plwg_transport.Transport.t ->
   detector:Plwg_detector.Detector.t ->
   servers:Node_id.t list ->

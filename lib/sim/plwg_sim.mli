@@ -175,15 +175,10 @@ module Fault : sig
       past of the engine's current clock fires immediately on the next
       [run] and emits a [Fault_past_step] trace warning. *)
 
-  val pp_step : Format.formatter -> step -> unit
-  val step_to_string : step -> string
-
   (** JSON round-trip for fault scripts, used by the chaos shrinker's
       repro artifacts.  [Model.drop_prob] is encoded as an integer in
       parts-per-million ([drop_ppm]). *)
 
-  val step_to_json : step -> Plwg_obs.Json.t
-  val step_of_json : Plwg_obs.Json.t -> step
   val script_to_json : (Time.t * step) list -> Plwg_obs.Json.t
   val script_of_json : Plwg_obs.Json.t -> (Time.t * step) list
 end

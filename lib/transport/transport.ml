@@ -13,9 +13,14 @@ let () =
     | Ack { conn; next } -> Some (Printf.sprintf "ack(c%d,>%d)" conn next)
     | _ -> None)
 
-type config = { rto : Time.span; max_rto : Time.span; give_up_after : int }
+(* initial retransmission timeout *)
+let rto = Time.ms 20
 
-let default_config = { rto = Time.ms 20; max_rto = Time.ms 320; give_up_after = 8 }
+(* backoff cap *)
+let max_rto = Time.ms 320
+
+(* retransmissions before the connection resets *)
+let give_up_after = 8
 
 (* One unacked segment, drawn from a per-endpoint freelist and returned
    to it when the cumulative ack (or a connection reset) retires it, so
@@ -37,18 +42,12 @@ let rec slot_nil =
   { s_seq = -1; s_body = Released_slot; s_free = true; s_gen = 0; s_next = slot_nil }
 [@@shared_cell "freelist terminator: a sentinel whose fields are never read or written"]
 
-(* Debug-mode use-after-release detection on every read of a pooled
-   slot (retransmit, ack prune, reset drain).  On by default: the check
-   is a load and a branch, and a stale slot observed on the wire is a
+(* Use-after-release detection on every read of a pooled slot
+   (retransmit, ack prune, reset drain).  Always on: the check is a load
+   and a branch, and a stale slot observed on the wire is a
    protocol-corrupting bug worth crashing on. *)
-let pool_debug =
-  ref true
-[@@shared_cell "debug toggle: set once by the harness before any node runs"]
-
-let set_pool_debug enabled = pool_debug := enabled
-
 let slot_check slot =
-  if !pool_debug && (slot.s_free || slot.s_body == Released_slot) then
+  if slot.s_free || slot.s_body == Released_slot then
     failwith "transport: use-after-release of pooled unacked slot"
 
 (* Sender side of one (src, dst) connection.  The unacked window is a
@@ -76,7 +75,6 @@ type in_conn = {
 type endpoint = {
   node : Node_id.t;
   rt : Rt.t;
-  config : config;
   mutable conn_counter : int;
   (* Per-peer connection state, indexed by node id.  Node ids are dense
      small ints, so a flat array turns the two per-message lookups
@@ -115,14 +113,9 @@ let release_slot ep s =
   ep.slot_free <- s
 [@@zero_alloc_hot]
 
-type t = { fabric_rt : Rt.t; fabric_config : config; endpoints : endpoint option array }
+type t = { fabric_rt : Rt.t; endpoints : endpoint option array }
 
-let create ?(config = default_config) rt =
-  {
-    fabric_rt = rt;
-    fabric_config = config;
-    endpoints = Array.make (Rt.n_nodes rt) None;
-  }
+let create rt = { fabric_rt = rt; endpoints = Array.make (Rt.n_nodes rt) None }
 
 let runtime t = t.fabric_rt
 
@@ -214,7 +207,7 @@ let reset_out ep ~dst oc =
   Deque.clear oc.unacked;
   oc.acked_progress <- 0;
   oc.retries <- 0;
-  oc.cur_rto <- ep.config.rto;
+  oc.cur_rto <- rto;
   oc.timer <- None
 
 let retransmit_batch = 32
@@ -224,7 +217,7 @@ let rec arm_timer ep ~dst oc =
     oc.timer <- None;
     if not (Deque.is_empty oc.unacked) then begin
       oc.retries <- oc.retries + 1;
-      if oc.retries > ep.config.give_up_after then reset_out ep ~dst oc
+      if oc.retries > give_up_after then reset_out ep ~dst oc
       else begin
         let batch = min retransmit_batch (Deque.length oc.unacked) in
         for i = 0 to batch - 1 do
@@ -233,7 +226,7 @@ let rec arm_timer ep ~dst oc =
           Rt.count ep.rt "transport.retransmits";
           Rt.send ep.rt ~src:ep.node ~dst (Seg { conn = oc.out_id; seq = s.s_seq; body = s.s_body })
         done;
-        oc.cur_rto <- min (oc.cur_rto * 2) ep.config.max_rto;
+        oc.cur_rto <- min (oc.cur_rto * 2) max_rto;
         arm_timer ep ~dst oc
       end
     end
@@ -252,7 +245,7 @@ let get_out ep dst =
           unacked = Deque.create ();
           acked_progress = 0;
           retries = 0;
-          cur_rto = ep.config.rto;
+          cur_rto = rto;
           timer = None;
         }
       in
@@ -266,7 +259,7 @@ let on_ack ep ~src ~conn ~next =
       if next > oc.acked_progress then begin
         oc.acked_progress <- next;
         oc.retries <- 0;
-        oc.cur_rto <- ep.config.rto
+        oc.cur_rto <- rto
       end;
       (* cumulative ack: sequence numbers are strictly increasing front
          to back, so everything below [next] sits at the front *)
@@ -301,7 +294,6 @@ let endpoint t node =
         {
           node;
           rt = t.fabric_rt;
-          config = t.fabric_config;
           conn_counter = 0;
           outs = Array.make n_nodes None;
           ins = Array.make n_nodes None;
@@ -329,7 +321,7 @@ let endpoint t node =
               | Some oc when not (Deque.is_empty oc.unacked) ->
                   (match oc.timer with Some cancel -> cancel () | None -> ());
                   oc.timer <- None;
-                  oc.cur_rto <- ep.config.rto;
+                  oc.cur_rto <- rto;
                   arm_timer ep ~dst oc
               | _ -> ())
             ep.outs;

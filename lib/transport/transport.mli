@@ -3,10 +3,14 @@
     Guarantees, per ordered pair of nodes: messages are delivered in
     send order, without duplication, while the two nodes stay mutually
     reachable.  Loss is masked by acknowledgement + retransmission with
-    exponential backoff.  When retransmission gives up (e.g. the peer is
+    exponential backoff (20 ms initial timeout, capped at 320 ms).  When
+    retransmission gives up after 8 retries (e.g. the peer is
     partitioned away), the connection resets: queued messages are
     discarded and a later send starts a fresh connection epoch, so stale
     fragments of the old stream are never delivered out of order.
+    Unacked segments live in pooled slots that are poisoned on release;
+    any path that touches a released slot raises instead of replaying
+    stale bytes.
 
     This mirrors what group-communication stacks build on UDP; the
     virtual-synchrony layer assumes exactly this service and handles the
@@ -17,15 +21,7 @@ type t
 
 type endpoint
 
-type config = {
-  rto : Plwg_sim.Time.span;  (** initial retransmission timeout *)
-  max_rto : Plwg_sim.Time.span;  (** backoff cap *)
-  give_up_after : int;  (** retransmissions before the connection resets *)
-}
-
-val default_config : config
-
-val create : ?config:config -> Plwg_runtime.Rt.t -> t
+val create : Plwg_runtime.Rt.t -> t
 
 val runtime : t -> Plwg_runtime.Rt.t
 
@@ -50,15 +46,8 @@ val broadcast_raw : t -> src:Plwg_sim.Node_id.t -> Plwg_sim.Payload.t -> unit
 
 val in_flight : endpoint -> int
 (** Unacknowledged messages queued at this endpoint.  O(1): a counter
-    maintained by send/ack/reset, so pollers (the stress command, the
-    macro bench) can sample it per event at no cost. *)
+    maintained by send/ack/reset, so pollers (the macro bench) can
+    sample it per event at no cost. *)
 
 val in_flight_peak : endpoint -> int
 (** High-water mark of {!in_flight} over the endpoint's lifetime. *)
-
-val set_pool_debug : bool -> unit
-(** Enable/disable the freelist's use-after-release checks (on by
-    default).  Unacked segments live in pooled slots that are poisoned
-    when the cumulative ack or a connection reset releases them; with
-    checks on, any retransmit/ack/reset path that touches a released
-    slot raises instead of replaying stale bytes. *)

@@ -5,6 +5,22 @@ module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
 module Deque = Plwg_util.Deque
 
+(* coordinator view-announce gossip interval *)
+let announce_period = Time.ms 250
+
+(* local re-evaluation interval *)
+let tick_period = Time.ms 150
+
+(* silence before a joiner forms a singleton view *)
+let join_timeout = Time.ms 500
+
+(* coordinator patience for FLUSHED replies *)
+let flush_deadline = Time.ms 600
+
+(* how often members exchange delivery vectors so stable messages can
+   be pruned from the retransmission store *)
+let stability_period = Time.ms 500
+
 (* ------------------------------------------------------------------ *)
 (* Wire messages                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -57,37 +73,16 @@ let () =
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Configuration and callbacks                                         *)
+(* Callbacks                                                           *)
 (* ------------------------------------------------------------------ *)
-
-type config = {
-  announce_period : Time.span;
-  tick_period : Time.span;
-  join_timeout : Time.span;
-  flush_deadline : Time.span;
-  auto_stop_ok : bool;
-  stability_period : Time.span;
-      (** how often members exchange delivery vectors so stable messages
-          can be pruned from the retransmission store; 0 disables *)
-}
-
-let default_config =
-  {
-    announce_period = Time.ms 250;
-    tick_period = Time.ms 150;
-    join_timeout = Time.ms 500;
-    flush_deadline = Time.ms 600;
-    auto_stop_ok = true;
-    stability_period = Time.ms 500;
-  }
 
 type callbacks = {
   on_view : Gid.t -> View.t -> unit;
   on_data : Gid.t -> view_id:View_id.t -> src:Node_id.t -> Payload.t -> unit;
-  on_stop : Gid.t -> unit;
+  on_stop : (Gid.t -> unit) option; (* [None]: acknowledge every Stop at once *)
 }
 
-let no_callbacks = { on_view = (fun _ _ -> ()); on_data = (fun _ ~view_id:_ ~src:_ _ -> ()); on_stop = (fun _ -> ()) }
+let no_callbacks = { on_view = (fun _ _ -> ()); on_data = (fun _ ~view_id:_ ~src:_ _ -> ()); on_stop = None }
 
 (* ------------------------------------------------------------------ *)
 (* Per-group state                                                     *)
@@ -162,7 +157,6 @@ type t = {
   rt : Rt.t;
   endpoint : Transport.endpoint;
   detector : Detector.t;
-  config : config;
   callbacks : callbacks;
   transport : Transport.t;
   states : gstate Plwg_util.Itbl.t; (* keyed by Gid.code *)
@@ -539,7 +533,7 @@ let rec evaluate t g =
                (after some patience, in case our install is in flight) *)
             match g.status with
             | Stopped { st_since; _ }
-              when Time.diff (Rt.now t.rt) st_since > 2 * t.config.flush_deadline ->
+              when Time.diff (Rt.now t.rt) st_since > 2 * flush_deadline ->
                 g.status <- Joining { started = Rt.now t.rt }
             | Stopped _ | Joining _ | Normal -> ()
         end
@@ -576,7 +570,7 @@ and initiate t g desired =
   g.epoch <- g.epoch + 1;
   Logs.debug (fun m -> m "n%d initiate %s e%d proposal=%s" t.node (Gid.to_string g.group) g.epoch (String.concat "," (List.map string_of_int (Node_id.Set.elements desired))));
   let epoch = g.epoch in
-  let deadline = Rt.after_node t.rt t.node t.config.flush_deadline (fun () -> on_deadline t g epoch) in
+  let deadline = Rt.after_node t.rt t.node flush_deadline (fun () -> on_deadline t g epoch) in
   g.change <-
     Some
       {
@@ -639,8 +633,9 @@ and handle_stop t ~src:_ ~group ~epoch ~coord ~proposal =
           | Some _ | None -> ());
           let was_stopped = match g.status with Stopped _ -> true | Joining _ | Normal -> false in
           g.status <- Stopped { st_epoch = epoch; st_coord = coord; acked = false; st_since = Rt.now t.rt };
-          if not was_stopped then t.callbacks.on_stop group;
-          if t.config.auto_stop_ok || was_stopped then flush_reply t g
+          match t.callbacks.on_stop with
+          | Some on_stop when not was_stopped -> on_stop group (* FLUSHED waits for [stop_ok] *)
+          | Some _ | None -> flush_reply t g
         end
       end
 
@@ -1001,7 +996,7 @@ let announce t g =
 let tick t g =
   match g.status with
   | Joining since ->
-      if Time.diff (Rt.now t.rt) since.started > t.config.join_timeout then install_singleton t g
+      if Time.diff (Rt.now t.rt) since.started > join_timeout then install_singleton t g
       else broadcast t (Hw_join_announce { group = g.group; joiner = t.node })
   | Normal | Stopped _ -> evaluate t g
 
@@ -1020,26 +1015,26 @@ let start_group_timers t g =
   let rec tick_loop () =
     if alive () then begin
       if up () then tick t g;
-      Rt.at_node_ t.rt t.node t.config.tick_period tick_loop
+      Rt.at_node_ t.rt t.node tick_period tick_loop
     end
   in
   let rec announce_loop () =
     if alive () then begin
       if up () then announce t g;
-      Rt.at_node_ t.rt t.node t.config.announce_period announce_loop
+      Rt.at_node_ t.rt t.node announce_period announce_loop
     end
   in
   let rec stability_loop () =
     if alive () then begin
       if up () then broadcast_stability t g;
-      Rt.at_node_ t.rt t.node t.config.stability_period stability_loop
+      Rt.at_node_ t.rt t.node stability_period stability_loop
     end
   in
   (* stagger the first firing so nodes do not tick in lock-step *)
-  let jitter = Time.us (Plwg_util.Rng.int (Rt.rng_node t.rt t.node) (t.config.tick_period / 2)) in
+  let jitter = Time.us (Plwg_util.Rng.int (Rt.rng_node t.rt t.node) (tick_period / 2)) in
   Rt.at_node_ t.rt t.node jitter tick_loop;
-  Rt.at_node_ t.rt t.node (jitter + (t.config.announce_period / 3)) announce_loop;
-  if t.config.stability_period > 0 then Rt.at_node_ t.rt t.node (jitter + (t.config.stability_period / 2)) stability_loop
+  Rt.at_node_ t.rt t.node (jitter + (announce_period / 3)) announce_loop;
+  Rt.at_node_ t.rt t.node (jitter + (stability_period / 2)) stability_loop
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
@@ -1140,7 +1135,7 @@ let am_coordinator t group =
 
 (* A finalized view change clears want_flush: hook into install. *)
 
-let create ?(config = default_config) ~transport ~detector callbacks node =
+let create ~transport ~detector callbacks node =
   let rt = Transport.runtime transport in
   let endpoint = Transport.endpoint transport node in
   let t =
@@ -1149,7 +1144,6 @@ let create ?(config = default_config) ~transport ~detector callbacks node =
       rt;
       endpoint;
       detector;
-      config;
       callbacks;
       transport;
       states = Plwg_util.Itbl.create ();

@@ -4,7 +4,8 @@
     One [t] runs per node and manages all of that node's group
     memberships.  The interface is the paper's Table 1:
     [join]/[leave]/[send]/[stop_ok] downcalls and [on_view]/[on_data]/
-    [on_stop] upcalls.
+    [on_stop] upcalls.  StopOk is requested by passing [on_stop]:
+    without it every Stop is acknowledged at once.
 
     Guarantees, checked by [Plwg_harness.Trace_check] from the traced
     [View_installed]/[Group_delivered]/[Group_left] events (layer [Hwg]):
@@ -22,28 +23,17 @@
 
     The membership protocol is coordinator-driven: the smallest
     reachable candidate runs an epoch-stamped stop / flush / install
-    round.  Peer discovery (for joins and for partition healing) rides
-    on periodic best-effort [VIEW-ANNOUNCE] broadcasts, mirroring IP
-    multicast on a LAN. *)
+    round, waiting 600 ms for FLUSHED replies.  Peer discovery (for
+    joins and for partition healing) rides on best-effort
+    [VIEW-ANNOUNCE] broadcasts every 250 ms, mirroring IP multicast on a
+    LAN; a joiner that hears nothing for 500 ms forms a singleton view.
+    Members exchange delivery vectors every 500 ms and prune stable
+    messages from the retransmission store. *)
 
 open Plwg_sim
 open Types
 
 type t
-
-type config = {
-  announce_period : Time.span;  (** coordinator view-announce gossip interval *)
-  tick_period : Time.span;  (** local re-evaluation interval *)
-  join_timeout : Time.span;  (** silence before a joiner forms a singleton view *)
-  flush_deadline : Time.span;  (** coordinator patience for FLUSHED replies *)
-  auto_stop_ok : bool;  (** acknowledge Stop upcalls automatically *)
-  stability_period : Time.span;
-      (** interval of the delivery-vector exchange that lets members
-          prune stable messages from the retransmission store (bounded
-          memory in long-lived views); 0 disables the exchange *)
-}
-
-val default_config : config
 
 type callbacks = {
   on_view : Gid.t -> View.t -> unit;
@@ -51,15 +41,16 @@ type callbacks = {
   on_data : Gid.t -> view_id:View_id.t -> src:Node_id.t -> Payload.t -> unit;
       (** Message delivery; [view_id] is the view the message was sent
           in (always the currently installed view). *)
-  on_stop : Gid.t -> unit;
-      (** Traffic must stop (a flush is starting).  Reply with
-          [stop_ok] unless [auto_stop_ok] is set. *)
+  on_stop : (Gid.t -> unit) option;
+      (** Traffic must stop (a flush is starting).  [None] acknowledges
+          every Stop at once; [Some f] calls [f] and holds this node's
+          FLUSHED reply until {!stop_ok}. *)
 }
 
 val no_callbacks : callbacks
+(** Ignores views and data; acknowledges every Stop at once. *)
 
 val create :
-  ?config:config ->
   transport:Plwg_transport.Transport.t ->
   detector:Plwg_detector.Detector.t ->
   callbacks ->
@@ -86,7 +77,8 @@ val send : t -> Gid.t -> Payload.t -> unit
     @raise Invalid_argument if this node is not a member (nor joining). *)
 
 val stop_ok : t -> Gid.t -> unit
-(** Acknowledge an [on_stop] upcall (manual mode only). *)
+(** Acknowledge an [on_stop] upcall; a no-op unless [on_stop] is
+    [Some _] and a Stop is pending. *)
 
 val force_flush : t -> Gid.t -> unit
 (** Request a view change that re-installs the current membership.  The

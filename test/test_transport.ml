@@ -151,7 +151,7 @@ let test_partition_backlog_fifo () =
   (* Regression for the quadratic unacked append: partition the sender
      mid-stream, queue 1k sends against the dead link, heal, and require
      exactly-once FIFO delivery of the whole backlog.  Polls in_flight
-     per send (as the stress command does) — with the pre-ring list
+     per send (as the macro bench does) — with the pre-ring list
      implementation this workload was O(n^2) twice over. *)
   let engine, transport = setup ~model:Model.default () in
   let got = collect transport 1 in

@@ -292,33 +292,58 @@ let test_flush_cuts_are_synchronized () =
   check_converged cluster group "survivors converge";
   check_invariants cluster
 
+(* StopOk interface (paper Table 1): with [on_stop = Some _] a node
+   holds its FLUSHED reply until [stop_ok].  Every node acks 200 ms
+   after its upcall, well inside the coordinator's 600 ms flush
+   deadline, so a forced flush must install its view only after the
+   last ack, and promptly after it -- before the deadline could have
+   restarted the round without the acks. *)
 let test_manual_stop_ok () =
-  let stops = ref [] in
-  let config = { Hwg.default_config with Hwg.auto_stop_ok = false } in
-  let log = ref [] in
+  let ack_delay = Time.ms 200 and flush_deadline = Time.ms 600 in
   let cluster = ref None in
+  let stops = ref [] and acks = ref [] and installs = ref [] in
+  let now () = match !cluster with Some c -> Sim_rt.now c.Cluster.engine | None -> 0 in
   let callbacks node =
     {
-      Hwg.on_view = (fun _ _ -> ());
-      Hwg.on_data = (fun _ ~view_id:_ ~src ->
-        function App n -> log := (node, src, n) :: !log | _ -> ());
+      Hwg.no_callbacks with
+      Hwg.on_view = (fun _ view -> installs := (now (), node, view) :: !installs);
       Hwg.on_stop =
-        (fun group ->
-          stops := (node, group) :: !stops;
-          (* ack immediately, as the LWG layer would after quiescing *)
-          match !cluster with
-          | Some c -> Hwg.stop_ok c.Cluster.hwgs.(node) group
-          | None -> ());
+        Some
+          (fun group ->
+            stops := now () :: !stops;
+            match !cluster with
+            | Some c ->
+                Plwg_runtime.Rt.after_node_ (Sim_rt.rt c.Cluster.engine) node ack_delay (fun () ->
+                    acks := now () :: !acks;
+                    Hwg.stop_ok c.Cluster.hwgs.(node) group)
+            | None -> ());
     }
   in
-  let c = Cluster.create ~hwg_config:config ~callbacks ~seed:7 ~n_nodes:3 () in
+  let c = Cluster.create ~callbacks ~seed:7 ~n_nodes:3 () in
   cluster := Some c;
   let group = gid 0 in
   Array.iter (fun hwg -> Hwg.join hwg group) c.Cluster.hwgs;
   Cluster.run c (Time.sec 5);
-  Alcotest.(check bool) "view formed" true (Hwg.is_member c.Cluster.hwgs.(2) group);
-  Alcotest.(check bool) "stop upcalls happened" true (List.length !stops > 0);
-  Alcotest.(check (list string)) "invariants" [] (Cluster.check_vs c)
+  check_converged c group "view formed";
+  stops := [];
+  acks := [];
+  installs := [];
+  Hwg.force_flush c.Cluster.hwgs.(0) group;
+  Cluster.run c (Time.sec 3);
+  Alcotest.(check int) "one stop upcall per node" 3 (List.length !stops);
+  Alcotest.(check int) "one ack per node" 3 (List.length !acks);
+  let first_stop = List.fold_left min max_int !stops and last_ack = List.fold_left max 0 !acks in
+  Alcotest.(check int) "every node installed once" 3 (List.length !installs);
+  List.iter
+    (fun (at, node, view) ->
+      Alcotest.(check bool) (Printf.sprintf "node %d installs after the last stop_ok" node) true (at >= last_ack);
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d installs before the flush deadline" node)
+        true
+        (at < first_stop + flush_deadline);
+      Alcotest.(check (list int)) (Printf.sprintf "node %d view has all members" node) [ 0; 1; 2 ] view.View.members)
+    !installs;
+  check_invariants c
 
 let test_total_order () =
   let cluster, log = make_cluster ~n:4 ~seed:13 () in
@@ -447,19 +472,6 @@ let test_stability_gc_prunes () =
   Cluster.run cluster (Time.sec 4);
   check_converged cluster group "survivors converge";
   check_invariants cluster
-
-let test_stability_disabled_retains () =
-  let config = { Hwg.default_config with Hwg.stability_period = 0 } in
-  let cluster = Cluster.create ~hwg_config:config ~seed:42 ~n_nodes:3 () in
-  let group = gid 7 in
-  Array.iter (fun hwg -> Hwg.join hwg group) cluster.Cluster.hwgs;
-  Cluster.run cluster (Time.sec 4);
-  for k = 1 to 50 do
-    Hwg.send cluster.Cluster.hwgs.(0) group (App k)
-  done;
-  Cluster.run cluster (Time.sec 3);
-  Alcotest.(check int) "everything retained without the exchange" 50
-    (Hwg.store_size cluster.Cluster.hwgs.(1) group)
 
 (* Frozen-buffer GC: a message that arrives during a flush, or tagged
    with a view the node has moved past, can never be delivered and must
@@ -662,7 +674,6 @@ let suite =
     Alcotest.test_case "send when not member" `Quick test_send_not_member_raises;
     Alcotest.test_case "fresh gid ordering" `Quick test_fresh_gid_ordering;
     Alcotest.test_case "stability gc prunes" `Quick test_stability_gc_prunes;
-    Alcotest.test_case "stability disabled retains" `Quick test_stability_disabled_retains;
     Alcotest.test_case "frozen drained across cycles" `Quick test_frozen_drained_across_cycles;
     Alcotest.test_case "causal never violates" `Quick test_causal_never_violates;
     Alcotest.test_case "fifo can violate causality" `Quick test_fifo_can_violate_causality;
