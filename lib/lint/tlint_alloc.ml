@@ -18,8 +18,15 @@
      - arguments of the raise family ([raise]/[failwith]/
        [invalid_arg]) — failure paths may build exceptions;
      - [assert] payloads;
-     - arguments of a trace-boundary call ({!Tlint_path.is_trace_boundary})
-       — their thunks only run when tracing or logging is enabled. *)
+     - the bodies of a trace-boundary call's arguments
+       ({!Tlint_path.is_trace_boundary}) — a thunk only runs when
+       tracing or logging is enabled.
+
+   The thunk's closure itself is built at every call, traced or not,
+   so a closure passed straight to a trace boundary is flagged: the
+   call belongs behind a tracing bit read once ([if t.tracing],
+   [if t.net.observing]), and the guarded site says so with
+   [@alloc_ok]. *)
 
 let raise_family = function
   | "Stdlib.raise" | "Stdlib.raise_notrace" | "Stdlib.failwith" | "Stdlib.invalid_arg" -> true
@@ -82,9 +89,17 @@ let check_body ~fn body =
     if not (Tlint_attr.alloc_ok e.exp_attributes) then
       match e.exp_desc with
       | Texp_assert _ -> ()
-      | Texp_apply (head, _)
-        when match head_canon head with Some c -> raise_family c || Tlint_path.is_trace_boundary c | None -> false ->
-          ()
+      | Texp_apply (head, _) when match head_canon head with Some c -> raise_family c | None -> false -> ()
+      | Texp_apply (head, args)
+        when match head_canon head with Some c -> Tlint_path.is_trace_boundary c | None -> false ->
+          List.iter
+            (fun (_, arg) ->
+              match arg with
+              | Some ({ exp_desc = Texp_function _; _ } as thunk : Typedtree.expression)
+                when not (Tlint_attr.alloc_ok thunk.exp_attributes) ->
+                  flag thunk.exp_loc "trace thunk closure, allocated at every call even when tracing is off"
+              | Some _ | None -> ())
+            args
       | Texp_function _ -> flag e.exp_loc "closure allocation"
       | _ ->
           (match e.exp_desc with

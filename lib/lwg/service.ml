@@ -102,6 +102,7 @@ type t = {
   mode : mode;
   config : config;
   rt : Rt.t;
+  tracing : bool; (* [Rt.tracing rt]: guards the per-delivery trace thunk *)
   callbacks : callbacks;
   ns : Client.t option;
   hwg : Hwg.t;
@@ -185,12 +186,12 @@ let[@transition] ns_set_view t (l : lstate) view =
 let[@transition] deliver t (l : lstate) ~src ~seq ~local body =
   l.delivered <- Node_id.Map.add src (seq + 1) l.delivered;
   (match l.view with
-  | Some view ->
+  | Some view when t.tracing ->
       Rt.trace t.rt (fun () ->
           Plwg_obs.Event.Group_delivered
             { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
               view_coord = view.View.id.View_id.coord; origin = src; local_id = local })
-  | None -> ());
+  | Some _ | None -> ());
   t.callbacks.on_data l.lwg ~src body
 
 (* A buffered message is deliverable when it is its sender's next and,
@@ -1339,20 +1340,25 @@ let create ?(config = default_config) ~mode ~transport ~detector ?ns callbacks n
   | Dynamic, None -> invalid_arg "Lwg.create: Dynamic mode requires a naming-service client"
   | _, _ -> ());
   let rt = Transport.runtime transport in
+  (* The callbacks match on [t_ref] in place: a [with_t (fun t -> ...)]
+     helper would allocate its closure on every delivery. *)
   let t_ref = ref None in
-  let with_t f = match !t_ref with Some t -> f t | None -> () in
   let hwg_callbacks =
     match mode with
     | Direct ->
         {
-          Hwg.on_view = (fun group view -> with_t (fun t -> t.callbacks.on_view group view));
-          Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> t.callbacks.on_data group ~src payload));
+          Hwg.on_view = (fun group view -> match !t_ref with Some t -> t.callbacks.on_view group view | None -> ());
+          Hwg.on_data =
+            (fun group ~view_id:_ ~src payload ->
+              match !t_ref with Some t -> t.callbacks.on_data group ~src payload | None -> ());
           Hwg.on_stop = None;
         }
     | Static _ | Dynamic ->
         {
-          Hwg.on_view = (fun group view -> with_t (fun t -> handle_hwg_view t group view));
-          Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> handle_hwg_data t ~carrier:group ~src payload));
+          Hwg.on_view = (fun group view -> match !t_ref with Some t -> handle_hwg_view t group view | None -> ());
+          Hwg.on_data =
+            (fun group ~view_id:_ ~src payload ->
+              match !t_ref with Some t -> handle_hwg_data t ~carrier:group ~src payload | None -> ());
           Hwg.on_stop = None;
         }
   in
@@ -1363,6 +1369,7 @@ let create ?(config = default_config) ~mode ~transport ~detector ?ns callbacks n
       mode;
       config;
       rt;
+      tracing = Rt.tracing rt;
       callbacks;
       ns;
       hwg;

@@ -39,3 +39,12 @@ let rng_node (Rt ((module B), h)) node = B.rng_node h node
 let trace (Rt ((module B), h)) make = B.trace h make
 let count ?by (Rt ((module B), h)) name = B.count ?by h name
 let observe (Rt ((module B), h)) name v = B.observe h name v
+
+(* [trace] forces its thunk before recording anything, so a thunk that
+   raises escapes exactly when a sink is attached; wrappers that forward
+   [trace] (the benchmark's shim) keep the answer. *)
+exception Tracing_probe
+
+let probe () = raise Tracing_probe
+
+let tracing rt = match trace rt probe with () -> false | exception Tracing_probe -> true

@@ -82,7 +82,10 @@ module type S = sig
 
   val trace : t -> (unit -> Plwg_obs.Event.t) -> unit
   (** Emit a trace event stamped with the current virtual time.  The
-      thunk is only forced when a sink is attached. *)
+      thunk is forced exactly when a sink is attached, and before
+      anything is recorded, so an exception it raises escapes with
+      nothing emitted: {!tracing} relies on this.  Whether a sink is
+      attached is fixed when the backend is created. *)
 
   val count : ?by:int -> t -> string -> unit
   (** Bump a named metrics counter (no-op without observability). *)
@@ -114,3 +117,10 @@ val rng_node : t -> Node_id.t -> Plwg_util.Rng.t
 val trace : t -> (unit -> Plwg_obs.Event.t) -> unit
 val count : ?by:int -> t -> string -> unit
 val observe : t -> string -> float -> unit
+
+val tracing : t -> bool
+(** Whether {!trace} reaches a sink, probed through [trace] itself with
+    a thunk that raises (see the contract of [S.trace]).  Constant for a
+    backend's lifetime, so layers read it once at creation and guard
+    their per-message [trace] calls with it: without flambda the thunk
+    closure is allocated at every call, even when it is never forced. *)

@@ -245,9 +245,10 @@ let dispatch t ~sent_at ~src ~dst payload =
     t.delivered <- t.delivered + 1;
     if t.net.observing then begin
       count t "engine.delivered";
-      trace t (fun () ->
-          Plwg_obs.Event.Msg_delivered
-            { src; dst; kind = Payload.to_string payload; latency_us = Time.diff t.now sent_at });
+      (trace t (fun () ->
+           Plwg_obs.Event.Msg_delivered
+             { src; dst; kind = Payload.to_string payload; latency_us = Time.diff t.now sent_at })
+      [@alloc_ok "guarded by t.net.observing"]);
       observe t "engine.delivery_latency_us" (float_of_int (Time.diff t.now sent_at))
     end;
     (if t.net.handlers_dirty.(dst) then begin
@@ -286,7 +287,8 @@ let metric_dropped_cut = "engine.dropped.cut"
 
 let drop t ~src ~dst ~reason ~metric payload =
   if t.net.observing then begin
-    trace t (fun () -> Plwg_obs.Event.Msg_dropped { src; dst; kind = Payload.to_string payload; reason });
+    (trace t (fun () -> Plwg_obs.Event.Msg_dropped { src; dst; kind = Payload.to_string payload; reason })
+    [@alloc_ok "guarded by t.net.observing"]);
     count t metric
   end
 [@@zero_alloc_hot]
@@ -339,7 +341,15 @@ let send t ~src ~dst payload =
     end
 [@@zero_alloc_hot]
 
-let multicast t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payload) dsts
+(* Recursion, not [List.iter]: the iterator's closure would be
+   allocated on every multicast. *)
+let rec multicast t ~src ~dsts payload =
+  match dsts with
+  | [] -> ()
+  | dst :: rest ->
+      send t ~src ~dst payload;
+      multicast t ~src ~dsts:rest payload
+[@@zero_alloc_hot]
 
 let make_timer t time guard action =
   let ev = alloc_ev t in

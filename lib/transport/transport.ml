@@ -70,6 +70,7 @@ type in_conn = {
   mutable next_expected : int;
   out_of_order : Payload.t Seqbuf.t; (* keyed by seq *)
   mutable ack_pending : bool;
+  ack_fire : unit -> unit; (* the delayed ack's timer action, built once per connection *)
 }
 
 type endpoint = {
@@ -137,23 +138,35 @@ let deliver ep ~src body =
 
 let ack_delay = Time.ms 5
 
+let fire_ack ep ~dst ic =
+  ic.ack_pending <- false;
+  Rt.send ep.rt ~src:ep.node ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
+
 let get_in ep src =
   match ep.ins.(src) with
   | Some ic -> ic
   | None ->
-      let ic = { in_id = -1; next_expected = 0; out_of_order = Seqbuf.create (); ack_pending = false } in
+      let out_of_order = Seqbuf.create () in
+      let rec ic =
+        {
+          in_id = -1;
+          next_expected = 0;
+          out_of_order;
+          ack_pending = false;
+          ack_fire = (fun () -> fire_ack ep ~dst:src ic);
+        }
+      in
       ep.ins.(src) <- Some ic;
       ic
 
-let send_ack ep ~dst ic =
+(* At most one delayed ack is pending per connection; it acks whatever
+   has arrived in order by the time it fires. *)
+let send_ack ep ic =
   if not ic.ack_pending then begin
     ic.ack_pending <- true;
-    let fire () =
-      ic.ack_pending <- false;
-      Rt.send ep.rt ~src:ep.node ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
-    in
-    Rt.after_node_ ep.rt ep.node ack_delay fire
+    Rt.after_node_ ep.rt ep.node ack_delay ic.ack_fire
   end
+[@@zero_alloc_hot]
 
 let rec drain_in_order ep ~src ic =
   match Seqbuf.min_opt ic.out_of_order with
@@ -184,7 +197,7 @@ let on_seg ep ~src ~conn ~seq body =
       if not (Seqbuf.is_empty ic.out_of_order) then drain_in_order ep ~src ic
     end
     else if seq > ic.next_expected then Seqbuf.add ic.out_of_order seq body;
-    send_ack ep ~dst:src ic
+    send_ack ep ic
   end
 [@@zero_alloc_hot]
 (* conn < ic.in_id: stale fragment of an abandoned connection; drop. *)
@@ -242,7 +255,7 @@ let get_out ep dst =
         {
           out_id = ep.conn_counter;
           next_seq = 0;
-          unacked = Deque.create ();
+          unacked = Deque.create ~dummy:slot_nil ();
           acked_progress = 0;
           retries = 0;
           cur_rto = rto;
@@ -251,6 +264,21 @@ let get_out ep dst =
       in
       ep.outs.(dst) <- Some oc;
       oc
+
+(* Cumulative ack: sequence numbers are strictly increasing front to
+   back, so everything below [next] sits at the front. *)
+let rec prune_acked ep oc ~next =
+  let s = Deque.front_or oc.unacked ~none:slot_nil in
+  if s != slot_nil then begin
+    slot_check s;
+    if s.s_seq < next then begin
+      Deque.drop_front oc.unacked;
+      release_slot ep s;
+      ep.in_flight <- ep.in_flight - 1;
+      prune_acked ep oc ~next
+    end
+  end
+[@@zero_alloc_hot]
 
 let on_ack ep ~src ~conn ~next =
   match ep.outs.(src) with
@@ -261,23 +289,13 @@ let on_ack ep ~src ~conn ~next =
         oc.retries <- 0;
         oc.cur_rto <- rto
       end;
-      (* cumulative ack: sequence numbers are strictly increasing front
-         to back, so everything below [next] sits at the front *)
-      let rec prune () =
-        match Deque.peek_front oc.unacked with
-        | Some s when (slot_check s; s.s_seq < next) ->
-            ignore (Deque.pop_front oc.unacked);
-            release_slot ep s;
-            ep.in_flight <- ep.in_flight - 1;
-            prune ()
-        | Some _ | None -> ()
-      in
-      prune ();
+      prune_acked ep oc ~next;
       if Deque.is_empty oc.unacked then begin
         (match oc.timer with Some cancel -> cancel () | None -> ());
         oc.timer <- None
       end
   | _ -> ()
+[@@zero_alloc_hot]
 
 let handle ep ~src payload =
   match payload with
@@ -326,11 +344,11 @@ let endpoint t node =
               | _ -> ())
             ep.outs;
           Array.iteri
-            (fun dst ic ->
+            (fun _src ic ->
               match ic with
               | Some ic when ic.ack_pending ->
                   ic.ack_pending <- false;
-                  send_ack ep ~dst ic
+                  send_ack ep ic
               | _ -> ())
             ep.ins);
       ep

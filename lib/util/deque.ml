@@ -1,17 +1,19 @@
 (* Growable ring buffer: amortized-O(1) push at the back and pop at the
    front, the access pattern of every FIFO hot path in the stack (the
    transport's unacked window, the HWG total-order pending queue, the
-   per-sender retransmission stores).  Vacated slots are cleared to
-   [None] so popped elements do not linger behind closures captured by
-   the simulator. *)
+   per-sender retransmission stores).  Slots hold elements directly, so
+   a push boxes nothing; empty and vacated slots hold the [dummy] the
+   deque was created with (as [Wheel.create ~dummy] does), so popped
+   elements do not linger behind closures captured by the simulator. *)
 
 type 'a t = {
-  mutable data : 'a option array;
+  dummy : 'a;
+  mutable data : 'a array;
   mutable head : int; (* physical index of the front element *)
   mutable len : int;
 }
 
-let create () = { data = [||]; head = 0; len = 0 }
+let create ~dummy () = { dummy; data = [||]; head = 0; len = 0 }
 
 let length t = t.len
 
@@ -21,13 +23,13 @@ let phys t i = (t.head + i) mod Array.length t.data
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Deque.get: index out of bounds";
-  match t.data.(phys t i) with Some x -> x | None -> assert false
+  t.data.(phys t i)
 
 let grow t =
   let capacity = Array.length t.data in
   if t.len = capacity then begin
     let next = if capacity = 0 then 16 else capacity * 2 in
-    let data = Array.make next None in
+    let data = Array.make next t.dummy in
     for i = 0 to t.len - 1 do
       data.(i) <- t.data.(phys t i)
     done;
@@ -37,20 +39,17 @@ let grow t =
 
 let push_back t x =
   grow t;
-  t.data.(phys t t.len) <- Some x;
+  t.data.(phys t t.len) <- x;
   t.len <- t.len + 1
 
-let peek_front t = if t.len = 0 then None else Some (get t 0)
+let front_or t ~none = if t.len = 0 then none else t.data.(t.head)
 
-let pop_front t =
-  if t.len = 0 then None
-  else begin
-    let front = t.data.(t.head) in
-    t.data.(t.head) <- None;
+let drop_front t =
+  if t.len > 0 then begin
+    t.data.(t.head) <- t.dummy;
     t.head <- (t.head + 1) mod Array.length t.data;
     t.len <- t.len - 1;
-    if t.len = 0 then t.head <- 0;
-    front
+    if t.len = 0 then t.head <- 0
   end
 
 let clear t =
@@ -82,7 +81,7 @@ let filter_in_place pred t =
   let n = List.length kept in
   if n <> t.len then begin
     let capacity = Array.length t.data in
-    Array.fill t.data 0 capacity None;
+    Array.fill t.data 0 capacity t.dummy;
     t.head <- 0;
     t.len <- 0;
     List.iter (fun x -> push_back t x) kept

@@ -3,7 +3,10 @@
     Every stochastic choice in the simulator draws from one of these
     generators, so a run is fully reproducible from its seed.  [split]
     derives an independent stream, which lets subsystems consume
-    randomness without perturbing each other. *)
+    randomness without perturbing each other.
+
+    The state is kept unboxed: {!int} and {!bool} draws allocate
+    nothing (the link-jitter draw of every wire message is an {!int}). *)
 
 type t
 

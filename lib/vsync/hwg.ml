@@ -50,6 +50,7 @@ type Payload.t +=
   | Hw_data of { group : Gid.t; view_id : View_id.t; msg : app_msg }
   | Hw_to_req of { group : Gid.t; view_id : View_id.t; origin : Node_id.t; local_id : int; body : Payload.t }
   | Hw_stable of { group : Gid.t; view_id : View_id.t; from : Node_id.t; delivered : (Node_id.t * int) list }
+  | Hw_vacant (* body of the deques' empty-slot sentinels; never sent *)
 
 let () =
   Payload.register_printer (function
@@ -70,6 +71,7 @@ let () =
     | Hw_to_req { group; origin; local_id; _ } ->
         Some (Format.asprintf "hw-to-req(%a,%a/#%d)" Gid.pp group Node_id.pp origin local_id)
     | Hw_stable { group; from; _ } -> Some (Format.asprintf "hw-stable(%a,%a)" Gid.pp group Node_id.pp from)
+    | Hw_vacant -> Some "hw-vacant"
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -155,6 +157,7 @@ type gstate = {
 type t = {
   node : Node_id.t;
   rt : Rt.t;
+  tracing : bool; (* [Rt.tracing rt]: guards the per-message trace thunks *)
   endpoint : Transport.endpoint;
   detector : Detector.t;
   callbacks : callbacks;
@@ -215,6 +218,23 @@ let add_foreign t g nodes =
 
 let frozen_cap = 10_000
 
+(* Empty-slot sentinels of the store and total-order deques: their
+   [front_or] answers with these, compared physically, instead of
+   allocating an option per peek. *)
+let vacant_msg = { sender = -1; seq = -1; origin = -1; local_id = -1; vc = []; body = Hw_vacant }
+let vacant_pending = (-1, Hw_vacant)
+
+(* Total-order pending sends complete in FIFO order, so the one just
+   delivered is almost always at the front. *)
+let complete_pending g local_id =
+  let front = Deque.front_or g.to_pending ~none:vacant_pending in
+  if front != vacant_pending then
+    if Int.equal (fst front) local_id then Deque.drop_front g.to_pending
+    else
+      (Deque.filter_in_place (fun (id, _) -> id <> local_id) g.to_pending
+      [@alloc_ok "out-of-order completion: rare, after a view change re-stamps"])
+[@@zero_alloc_hot]
+
 let deliver_upcall t g msg ~view_id =
   let upcall =
     match g.ordering with
@@ -229,20 +249,16 @@ let deliver_upcall t g msg ~view_id =
         else false
   in
   if upcall then begin
-    if Node_id.equal msg.origin t.node then begin
-      (* total-order pending sends complete in FIFO order, so the one
-         just delivered is almost always at the front *)
-      match Deque.peek_front g.to_pending with
-      | Some (id, _) when id = msg.local_id -> ignore (Deque.pop_front g.to_pending)
-      | Some _ -> Deque.filter_in_place (fun (id, _) -> id <> msg.local_id) g.to_pending
-      | None -> ()
-    end;
-    Rt.trace t.rt (fun () ->
-        Plwg_obs.Event.Group_delivered
-          { layer = Hwg; node = t.node; group = Gid.to_string g.group; view_seq = view_id.View_id.seq;
-            view_coord = view_id.View_id.coord; origin = msg.origin; local_id = msg.local_id });
+    if Node_id.equal msg.origin t.node then complete_pending g msg.local_id;
+    if t.tracing then
+      (Rt.trace t.rt (fun () ->
+           Plwg_obs.Event.Group_delivered
+             { layer = Hwg; node = t.node; group = Gid.to_string g.group; view_seq = view_id.View_id.seq;
+               view_coord = view_id.View_id.coord; origin = msg.origin; local_id = msg.local_id })
+      [@alloc_ok "guarded by t.tracing"]);
     t.callbacks.on_data g.group ~view_id ~src:msg.origin msg.body
   end
+[@@zero_alloc_hot]
 
 let deliver_now t g msg ~view_id =
   g.delivered.(msg.sender) <- msg.seq + 1;
@@ -250,6 +266,7 @@ let deliver_now t g msg ~view_id =
   g.store_count <- g.store_count + 1;
   if g.store_count > g.store_peak then g.store_peak <- g.store_count;
   deliver_upcall t g msg ~view_id
+[@@zero_alloc_hot]
 
 (* Flatten the store for the wire (FLUSHED).  Consumers key the bodies
    by (sender, seq); ordering across senders is immaterial. *)
@@ -323,13 +340,23 @@ let freeze t g view_id msg =
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let rec unicast_all t payload = function
+  | [] -> ()
+  | dst :: rest ->
+      unicast t ~dst payload;
+      unicast_all t payload rest
+[@@zero_alloc_hot]
+
+(* One [Hw_data] serves every member: payloads are immutable, and the
+   transport wraps it in a per-member segment anyway. *)
 let multicast_data t g msg =
   match g.view with
   | None -> ()
   | Some view ->
-      List.iter
-        (fun dst -> unicast t ~dst (Hw_data { group = g.group; view_id = view.View.id; msg }))
+      unicast_all t
+        (Hw_data { group = g.group; view_id = view.View.id; msg } [@alloc_ok "the one payload of a multicast"])
         view.View.members
+[@@zero_alloc_hot]
 
 let stamp_and_multicast t g ~origin ~local_id body =
   match g.view with
@@ -900,6 +927,7 @@ and handle_data t ~group ~view_id ~msg =
               freeze t g view_id msg
           | Joining _ -> freeze t g view_id msg)
       | Some _ | None -> freeze t g view_id msg)
+[@@zero_alloc_hot]
 
 and handle_to_req t ~group ~view_id ~origin ~local_id ~body =
   match lookup_exn t group with
@@ -925,13 +953,40 @@ and handle_to_req t ~group ~view_id ~origin ~local_id ~body =
 let broadcast_stability t g =
   match (g.status, g.view) with
   | Normal, Some view when g.store_count > 0 ->
-      List.iter
-        (fun dst ->
-          unicast t ~dst
-            (Hw_stable
-               { group = g.group; view_id = view.View.id; from = t.node; delivered = vec_bindings g.delivered }))
+      unicast_all t
+        (Hw_stable { group = g.group; view_id = view.View.id; from = t.node; delivered = vec_bindings g.delivered })
         view.View.members
   | _, _ -> ()
+
+(* The stability helpers recurse at top level: a [List.iter] or
+   [List.for_all] closure would be allocated on every round. *)
+let rec fill_row row = function
+  | [] -> ()
+  | (node, count) :: rest ->
+      row.(node) <- count;
+      fill_row row rest
+[@@zero_alloc_hot]
+
+let rec all_reported g = function [] -> true | member :: rest -> g.peer_seen.(member) && all_reported g rest
+[@@zero_alloc_hot]
+
+(* The highest seq below which every member has delivered [sender]'s
+   messages. *)
+let rec floor_for g sender acc = function
+  | [] -> acc
+  | member :: rest -> floor_for g sender (Int.min acc g.peer_vec.(member).(sender)) rest
+[@@zero_alloc_hot]
+
+(* Per-sender deques are seq-ascending: everything below the floor sits
+   at the front, so pruning pops O(pruned). *)
+let rec prune_store g dq floor =
+  let msg = Deque.front_or dq ~none:vacant_msg in
+  if msg != vacant_msg && msg.seq < floor then begin
+    Deque.drop_front dq;
+    g.store_count <- g.store_count - 1;
+    prune_store g dq floor
+  end
+[@@zero_alloc_hot]
 
 let handle_stable t ~group ~view_id ~from ~delivered =
   match lookup_exn t group with
@@ -942,42 +997,30 @@ let handle_stable t ~group ~view_id ~from ~delivered =
           let n = Array.length g.delivered in
           let row =
             if Int.equal (Array.length g.peer_vec.(from)) 0 then begin
-              let r = Array.make n 0 in
+              let r = (Array.make n 0 [@alloc_ok "a member's first report in the group"]) in
               g.peer_vec.(from) <- r;
               r
             end
             else g.peer_vec.(from)
           in
           Array.fill row 0 n 0;
-          List.iter (fun (node, count) -> row.(node) <- count) delivered;
+          fill_row row delivered;
           g.peer_seen.(from) <- true;
-          if List.for_all (fun member -> g.peer_seen.(member)) view.View.members then begin
+          if all_reported g view.View.members then begin
             (* every member reported for this view, so its row is
                allocated and fresh *)
-            let floor_for sender =
-              List.fold_left (fun acc member -> min acc g.peer_vec.(member).(sender)) max_int view.View.members
-            in
             Array.fill g.stable_floor 0 n 0;
             for sender = 0 to n - 1 do
               let dq = g.store.(sender) in
               if not (Deque.is_empty dq) then begin
-                let floor = floor_for sender in
+                let floor = floor_for g sender max_int view.View.members in
                 g.stable_floor.(sender) <- floor;
-                (* per-sender deques are seq-ascending: everything below
-                   the floor sits at the front, so pruning pops O(pruned) *)
-                let rec prune () =
-                  match Deque.peek_front dq with
-                  | Some msg when msg.seq < floor ->
-                      ignore (Deque.pop_front dq);
-                      g.store_count <- g.store_count - 1;
-                      prune ()
-                  | Some _ | None -> ()
-                in
-                prune ()
+                prune_store g dq floor
               end
             done
           end
       | Some _ | None -> ())
+[@@zero_alloc_hot]
 
 let install_singleton t g =
   g.view_seq <- g.view_seq + 1;
@@ -1058,7 +1101,7 @@ let join ?(ordering = Fifo) t group =
           delivered = Array.make n 0;
           to_delivered = Node_id.Map.empty;
           to_stamped = Node_id.Map.empty;
-          store = Array.init n (fun _ -> Deque.create ());
+          store = Array.init n (fun _ -> Deque.create ~dummy:vacant_msg ());
           store_count = 0;
           store_peak = 0;
           stable_floor = Array.make n 0;
@@ -1067,7 +1110,7 @@ let join ?(ordering = Fifo) t group =
           frozen = [];
           frozen_count = 0;
           outbox = [];
-          to_pending = Deque.create ();
+          to_pending = Deque.create ~dummy:vacant_pending ();
           joiners = Node_id.Set.empty;
           leavers = Node_id.Set.empty;
           foreign = [];
@@ -1142,6 +1185,7 @@ let create ~transport ~detector callbacks node =
     {
       node;
       rt;
+      tracing = Rt.tracing rt;
       endpoint;
       detector;
       callbacks;
@@ -1178,6 +1222,7 @@ let create ~transport ~detector callbacks node =
       | Hw_to_req { group; view_id; origin; local_id; body } ->
           handle_to_req t ~group ~view_id ~origin ~local_id ~body
       | Hw_stable { group; view_id; from; delivered } -> handle_stable t ~group ~view_id ~from ~delivered
+      | Hw_vacant -> ()
       | _ -> ());
   Detector.on_change detector (fun _peer _status ->
       Plwg_util.Itbl.iter_sorted (fun _ g -> evaluate t g) t.states);

@@ -453,6 +453,27 @@ let typed_alloc_quiet () =
   Alcotest.(check int) "three hot bindings" 3 (List.length (Tlint_alloc.hot_bindings str));
   Alcotest.(check int) "arithmetic, reads and [@alloc_ok] are quiet" 0 (List.length (Tlint_alloc.check str))
 
+(* A trace thunk runs only when tracing, but its closure is built at
+   every call: unguarded, it is the one finding (its body, which only
+   runs traced, is not checked); behind a guard marked [@alloc_ok] it is
+   quiet. *)
+let trace_prelude = "let trace (make : unit -> int option) = ignore make\n"
+
+let typed_trace_thunk_fires () =
+  let str = typecheck (trace_prelude ^ "let hot x = trace (fun () -> Some x) [@@zero_alloc_hot]") in
+  match Tlint_alloc.check str with
+  | [ (_, _, message) ] -> Alcotest.(check bool) "thunk closure flagged" true (contains message "trace thunk closure")
+  | findings -> Alcotest.failf "expected one finding, got %d" (List.length findings)
+
+let typed_trace_thunk_quiet () =
+  let str =
+    typecheck
+      (trace_prelude
+     ^ "let hot tracing x = if tracing then (trace (fun () -> Some x) [@alloc_ok \"fixture: guarded\"]) \
+        [@@zero_alloc_hot]")
+  in
+  Alcotest.(check int) "guarded thunk is quiet" 0 (List.length (Tlint_alloc.check str))
+
 let shared_cell_source annotated =
   "let registry : (int, int) Hashtbl.t = Hashtbl.create 16"
   ^ (if annotated then " [@@shared_cell \"fixture registry\"]" else "")
@@ -549,6 +570,8 @@ let suite =
     Alcotest.test_case "poly compare site reports once" `Quick poly_compare_one_finding;
     Alcotest.test_case "hot-path allocation fires" `Quick typed_alloc_fires;
     Alcotest.test_case "allocation-free hot path is quiet" `Quick typed_alloc_quiet;
+    Alcotest.test_case "unguarded trace thunk fires" `Quick typed_trace_thunk_fires;
+    Alcotest.test_case "guarded trace thunk is quiet" `Quick typed_trace_thunk_quiet;
     Alcotest.test_case "unannotated shared cell fires" `Quick typed_shared_cell_fires;
     Alcotest.test_case "annotated shared cell is quiet" `Quick typed_shared_cell_quiet;
     Alcotest.test_case "domain report regeneration is byte-identical" `Quick domain_report_deterministic;

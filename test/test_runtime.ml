@@ -115,6 +115,44 @@ let test_rng_streams_per_backend () =
   done;
   Alcotest.(check bool) "domains: nodes draw distinct streams" false (draws two 0 = draws two 1)
 
+(* A backend that forwards every call to another, as the benchmark's
+   tracing shim does: [Rt.tracing] must see through it. *)
+module Forward : Rt.S with type t = Rt.t = struct
+  type t = Rt.t
+
+  let now = Rt.now
+  let n_nodes = Rt.n_nodes
+  let nodes = Rt.nodes
+  let is_alive = Rt.is_alive
+  let subscribe = Rt.subscribe
+  let send = Rt.send
+  let multicast = Rt.multicast
+  let after_node = Rt.after_node
+  let after_node_ = Rt.after_node_
+  let at_node_ = Rt.at_node_
+  let on_recover = Rt.on_recover
+  let rng_node = Rt.rng_node
+  let trace = Rt.trace
+  let count = Rt.count
+  let observe = Rt.observe
+end
+
+let test_tracing_probe () =
+  let sim obs = Sim_rt.rt (Sim_rt.create ?obs ~model:Model.lossless ~seed:5 ~n_nodes:2 ()) in
+  let dom obs = Domains_rt.rt (Domains_rt.create ?obs ~model:Model.lossless ~n_domains:2 ~seed:5 ~n_nodes:2 ()) in
+  let forward rt = Rt.Rt ((module Forward), rt) in
+  List.iter
+    (fun (name, make) ->
+      let obs = Plwg_obs.create () in
+      let traced = make (Some obs) in
+      Alcotest.(check bool) (name ^ ": with a sink") true (Rt.tracing traced);
+      Alcotest.(check bool) (name ^ ": without a sink") false (Rt.tracing (make None));
+      Alcotest.(check bool) (name ^ ": forwarded, with a sink") true (Rt.tracing (forward traced));
+      Alcotest.(check bool) (name ^ ": forwarded, without a sink") false (Rt.tracing (forward (make None)));
+      Alcotest.(check int) (name ^ ": the probe records nothing") 0
+        (List.length (Trace_check.entries obs.Plwg_obs.sink)))
+    [ ("sim", sim); ("domains", dom) ]
+
 exception Boom of int
 
 let test_raise_releases_peers ~n_domains ~node () =
@@ -406,4 +444,5 @@ let suite =
     Alcotest.test_case "HWG partition/heal as on sim, 3 domains" `Quick (test_hwg_partition_heal 3);
     Alcotest.test_case "faulted runs repeat, 2 domains" `Quick (test_faulted_runs_repeat 2);
     Alcotest.test_case "faulted runs repeat, 3 domains" `Quick (test_faulted_runs_repeat 3);
+    Alcotest.test_case "tracing probe: sink, no sink, forwarded" `Quick test_tracing_probe;
   ]

@@ -647,8 +647,83 @@ let prop_stress =
       let violations, converged = stress_once (seed + 1) in
       violations = [] && converged)
 
+(* ------------------------------------------------------------------ *)
+(* Steady-state allocation gate                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A bare stack: one four-member HWG on the sim, wired without the
+   Cluster fixture (whose recorder keeps every delivery).  Node 0 sends
+   one preallocated payload every [gate_period] from a self-rescheduling
+   timer, so the driver allocates nothing per message.  At this rate the
+   message path outweighs the background (heartbeats, ticks, stability
+   rounds): a boxed RNG draw per wire message alone breaks the gate. *)
+let gate_period = Time.ms 2
+
+let gate_stack ?obs () =
+  let n = 4 in
+  let engine = Sim_rt.create ?obs ~model:Model.default ~seed:7 ~n_nodes:n () in
+  let rt = Sim_rt.rt engine in
+  let delivered = ref 0 in
+  let callbacks _node = { Hwg.no_callbacks with Hwg.on_data = (fun _ ~view_id:_ ~src:_ _ -> incr delivered) } in
+  let transport = Plwg_transport.Transport.create rt in
+  let detectors = Array.init n (fun node -> Plwg_detector.Detector.create transport node) in
+  let hwgs = Array.init n (fun node -> Hwg.create ~transport ~detector:detectors.(node) (callbacks node) node) in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 3);
+  Array.iter
+    (fun h ->
+      match Hwg.view_of h group with
+      | Some view -> Alcotest.(check int) "four-member view" n (List.length view.View.members)
+      | None -> Alcotest.fail "no view installed")
+    hwgs;
+  let payloads = Array.init 5_000 (fun i -> App i) in
+  let sent = ref 0 in
+  let rec send_loop () =
+    if !sent < Array.length payloads then begin
+      Hwg.send hwgs.(0) group payloads.(!sent);
+      incr sent;
+      Plwg_runtime.Rt.at_node_ rt 0 gate_period send_loop
+    end
+  in
+  Plwg_runtime.Rt.at_node_ rt 0 gate_period send_loop;
+  (engine, delivered)
+
+(* Minor words per delivery over a window of the steady state: message
+   path, acks, heartbeats and stability rounds all count.  The lint sees
+   only syntactic allocation inside one binding; this catches the rest
+   (boxed RNG state, closures built by a callee, options from a peek). *)
+let test_steady_state_alloc_gate () =
+  let engine, delivered = gate_stack () in
+  Sim_rt.run_span engine (Time.sec 1);
+  let d0 = !delivered and w0 = Gc.minor_words () in
+  Sim_rt.run_span engine (Time.sec 4);
+  let words = Gc.minor_words () -. w0 and deliveries = !delivered - d0 in
+  Alcotest.(check int) "every send delivered at all four members" (4 * (Time.sec 4 / gate_period)) deliveries;
+  let per_delivery = words /. float_of_int deliveries in
+  if per_delivery > 16. then Alcotest.failf "%.1f minor words per delivery > 16" per_delivery
+
+(* The traced twin: with a sink attached, the tracing guard must not
+   drop a single delivery event. *)
+let test_steady_state_traced_twin () =
+  let obs = Plwg_obs.create () in
+  let engine, delivered = gate_stack ~obs () in
+  Sim_rt.run_span engine (Time.sec 1);
+  Alcotest.(check int) "the ring kept every entry" 0 (Plwg_obs.Sink.dropped obs.Plwg_obs.sink);
+  let events =
+    List.length
+      (List.filter
+         (fun (entry : Event.entry) ->
+           match entry.Event.event with Event.Group_delivered { layer = Event.Hwg; _ } -> true | _ -> false)
+         (Trace_check.entries obs.Plwg_obs.sink))
+  in
+  Alcotest.(check bool) "deliveries happened" true (!delivered > 1_000);
+  Alcotest.(check int) "one Group_delivered per delivery" !delivered events
+
 let suite =
   [
+    Alcotest.test_case "steady-state allocation gate" `Quick test_steady_state_alloc_gate;
+    Alcotest.test_case "steady-state traced twin" `Quick test_steady_state_traced_twin;
     Alcotest.test_case "singleton view" `Quick test_singleton_view;
     Alcotest.test_case "two joiners merge" `Quick test_two_joiners_merge;
     Alcotest.test_case "staggered joins" `Quick test_staggered_joins;
