@@ -7,6 +7,7 @@ module Client = Plwg_naming.Client
 module Db = Plwg_naming.Db
 module Transport = Plwg_transport.Transport
 module Detector = Plwg_detector.Detector
+module Itbl = Plwg_util.Itbl
 
 (* silence before a joiner forms a singleton LWG view *)
 let join_grace = Time.ms 1500
@@ -66,7 +67,9 @@ type lstate = {
   mutable provisional : View_id.t option;
   mutable next_seq : int;
   mutable total_sent : int; (* monotone across views: delivery-invariant tag *)
-  mutable delivered : int Node_id.Map.t;
+  mutable delivered : int array;
+      (* per sender: count delivered in the current view, 0 = none.
+         Grows to the highest sender seen; zeroed in place at install *)
   mutable pend_cur : (Node_id.t * int * int * (Node_id.t * int) list * Payload.t) list
       (* src, seq, local, vc, body: received but not yet deliverable in the current view *);
   mutable pend_new : (View_id.t * (Node_id.t * int * int * (Node_id.t * int) list * Payload.t)) list;
@@ -106,9 +109,9 @@ type t = {
   callbacks : callbacks;
   ns : Client.t option;
   hwg : Hwg.t;
-  lstates : (int, lstate) Hashtbl.t; (* keyed by Gid.code *)
-  hstates : (int, hstate) Hashtbl.t; (* keyed by Gid.code *)
-  lseq_floor : (int, int) Hashtbl.t; (* highest LWG view seq seen per Gid.code, across incarnations *)
+  lstates : lstate Itbl.t; (* keyed by Gid.code *)
+  hstates : hstate Itbl.t; (* keyed by Gid.code *)
+  lseq_floor : int Itbl.t; (* highest LWG view seq seen per Gid.code, across incarnations *)
   mutable state_callbacks : state_callbacks option;
   mutable lwg_gid_counter : int;
   mutable switches : int;
@@ -121,13 +124,17 @@ let hwg_service t = t.hwg
 let switch_count t = t.switches
 let merge_count t = t.merges
 
-let lstate_of t lwg = Hashtbl.find_opt t.lstates (Gid.code lwg)
+let lstate_of t lwg = Itbl.find_opt t.lstates (Gid.code lwg)
+
+(* Per-message variant: the hit path allocates nothing (see
+   [Hwg.lookup_exn]). *)
+let lstate_exn t lwg = Itbl.find t.lstates (Gid.code lwg)
 
 let hstate_of t hgid =
   let key = Gid.code hgid in
-  match Hashtbl.find_opt t.hstates key with
-  | Some h -> h
-  | None ->
+  match Itbl.find t.hstates key with
+  | h -> h
+  | exception Not_found ->
       let h =
         {
           hgid;
@@ -138,7 +145,7 @@ let hstate_of t hgid =
           empty_since = None;
         }
       in
-      Hashtbl.replace t.hstates key h;
+      Itbl.replace t.hstates key h;
       h
 
 let fresh_gid t =
@@ -147,7 +154,16 @@ let fresh_gid t =
      layer only by convention; both are (seq, origin) pairs. *)
   { Gid.seq = 1_000_000 + t.lwg_gid_counter; origin = t.node }
 
-let delivered_count map sender = match Node_id.Map.find_opt sender map with Some n -> n | None -> 0
+let delivered_count (l : lstate) sender = if sender < Array.length l.delivered then l.delivered.(sender) else 0
+
+(* Wire form of the causal vector: the senders delivered from in this
+   view (non-zero count), in ascending node id. *)
+let vc_bindings (l : lstate) =
+  let acc = ref [] in
+  for i = Array.length l.delivered - 1 downto 0 do
+    if l.delivered.(i) > 0 then acc := (i, l.delivered.(i)) :: !acc
+  done;
+  !acc
 
 let multicast_h t hgid payload = if Hwg.is_member t.hwg hgid then Hwg.send t.hwg hgid payload
 
@@ -183,51 +199,95 @@ let[@transition] ns_set_view t (l : lstate) view =
 (* Delivery                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* [counts] widened to cover [sender], counts kept *)
+let widened counts sender =
+  let wider = Array.make (max (sender + 1) (2 * Array.length counts)) 0 in
+  Array.blit counts 0 wider 0 (Array.length counts);
+  wider
+
 let[@transition] deliver t (l : lstate) ~src ~seq ~local body =
-  l.delivered <- Node_id.Map.add src (seq + 1) l.delivered;
+  if src >= Array.length l.delivered then
+    (l.delivered <- widened l.delivered src) [@alloc_ok "a sender beyond the counters: once per lstate and sender"];
+  l.delivered.(src) <- seq + 1;
   (match l.view with
   | Some view when t.tracing ->
-      Rt.trace t.rt (fun () ->
-          Plwg_obs.Event.Group_delivered
-            { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
-              view_coord = view.View.id.View_id.coord; origin = src; local_id = local })
+      (Rt.trace t.rt (fun () ->
+           Plwg_obs.Event.Group_delivered
+             { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
+               view_coord = view.View.id.View_id.coord; origin = src; local_id = local })
+      [@alloc_ok "guarded by t.tracing"])
   | Some _ | None -> ());
   t.callbacks.on_data l.lwg ~src body
+[@@zero_alloc_hot]
+
+let rec vc_delivered (l : lstate) ~src = function
+  | [] -> true
+  | (node, count) :: rest ->
+      (Node_id.equal node src || delivered_count l node >= count) && vc_delivered l ~src rest
+[@@zero_alloc_hot]
 
 (* A buffered message is deliverable when it is its sender's next and,
    in causal mode, everything it causally depends on was delivered. *)
 let l_deliverable (l : lstate) ~src ~seq ~vc =
-  l.awaiting_state = None
-  && seq = delivered_count l.delivered src
+  Option.is_none l.awaiting_state
+  && seq = delivered_count l src
   &&
   match l.ordering with
   | Fifo | Total -> true
-  | Causal ->
-      List.for_all (fun (node, count) -> Node_id.equal node src || delivered_count l.delivered node >= count) vc
+  | Causal -> vc_delivered l ~src vc
+[@@zero_alloc_hot]
 
+let rec any_deliverable (l : lstate) = function
+  | [] -> false
+  | (src, seq, _, vc, _) :: rest -> l_deliverable l ~src ~seq ~vc || any_deliverable l rest
+[@@zero_alloc_hot]
+
+let rec deliver_all t l = function
+  | [] -> ()
+  | (src, seq, local, _, body) :: rest ->
+      deliver t l ~src ~seq ~local body;
+      deliver_all t l rest
+
+(* Every ready message of one pass is delivered, in buffer order; the
+   pass repeats until none is ready.  Only a pass that finds something
+   ready allocates. *)
 let[@transition] rec drain_pend_cur t (l : lstate) =
-  let ready, rest =
-    List.partition (fun (src, seq, _, vc, _) -> l_deliverable l ~src ~seq ~vc) l.pend_cur
-  in
-  if not (List.is_empty ready) then begin
+  if any_deliverable l l.pend_cur then begin
+    let ready, rest =
+      (List.partition (fun (src, seq, _, vc, _) -> l_deliverable l ~src ~seq ~vc) l.pend_cur
+      [@alloc_ok "something is ready: the split costs less than the deliveries it feeds"])
+    in
     l.pend_cur <- rest;
-    List.iter (fun (src, seq, local, _, body) -> deliver t l ~src ~seq ~local body) ready;
+    deliver_all t l ready;
     drain_pend_cur t l
   end
+[@@zero_alloc_hot]
 
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* No view to send in: queued until the next install. *)
+let[@transition] queue_send (l : lstate) body = l.outbox <- body :: l.outbox
+
 let[@transition] send_in t (l : lstate) body =
-  match (l.status, l.view, l.hwg) with
-  | L_normal, Some view, Some hwg ->
-      let seq = l.next_seq and local = l.total_sent in
-      l.next_seq <- seq + 1;
-      l.total_sent <- local + 1;
-      let vc = match l.ordering with Causal -> Node_id.Map.bindings l.delivered | Fifo | Total -> [] in
-      multicast_h t hwg (L_data { lwg = l.lwg; lview = view.View.id; seq; local; vc; body })
-  | _, _, _ -> l.outbox <- body :: l.outbox
+  match l.view with
+  | Some view when (match l.status with L_normal -> true | _ -> false) -> (
+      match l.hwg with
+      | Some hwg ->
+          let seq = l.next_seq and local = l.total_sent in
+          l.next_seq <- seq + 1;
+          l.total_sent <- local + 1;
+          let vc =
+            match l.ordering with
+            | Causal -> (vc_bindings l [@alloc_ok "the causal vector ships with the message"])
+            | Fifo | Total -> []
+          in
+          multicast_h t hwg
+            (L_data { lwg = l.lwg; lview = view.View.id; seq; local; vc; body } [@alloc_ok "the one payload of a send"])
+      | None -> queue_send l body)
+  | Some _ | None -> queue_send l body
+[@@zero_alloc_hot]
 
 let[@transition] drain_outbox t (l : lstate) =
   let queued = List.rev l.outbox in
@@ -240,10 +300,10 @@ let[@transition] drain_outbox t (l : lstate) =
 
 let note_lseq t lwg seq =
   let key = Gid.code lwg in
-  let floor = try Hashtbl.find t.lseq_floor key with Not_found -> 0 in
-  if seq > floor then Hashtbl.replace t.lseq_floor key seq
+  let floor = try Itbl.find t.lseq_floor key with Not_found -> 0 in
+  if seq > floor then Itbl.replace t.lseq_floor key seq
 
-let lseq_floor_of t lwg = try Hashtbl.find t.lseq_floor (Gid.code lwg) with Not_found -> 0
+let lseq_floor_of t lwg = try Itbl.find t.lseq_floor (Gid.code lwg) with Not_found -> 0
 
 let[@transition] install_lview t (l : lstate) view =
   note_lseq t l.lwg view.View.id.View_id.seq;
@@ -251,7 +311,7 @@ let[@transition] install_lview t (l : lstate) view =
   (match l.view with Some old -> l.ancestors <- View_id.Set.add old.View.id l.ancestors | None -> ());
   l.view <- Some view;
   l.next_seq <- 0;
-  l.delivered <- Node_id.Map.empty;
+  Array.fill l.delivered 0 (Array.length l.delivered) 0;
   l.pend_cur <- [];
   Rt.count t.rt "lwg.views_installed";
   Rt.trace t.rt (fun () ->
@@ -266,7 +326,7 @@ let[@transition] install_lview t (l : lstate) view =
   let early = List.sort (fun (_, (_, a, _, _, _)) (_, (_, b, _, _, _)) -> Int.compare a b) early in
   List.iter
     (fun (_, (src, seq, local, vc, body)) ->
-      if seq >= delivered_count l.delivered src then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
+      if seq >= delivered_count l src then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
     early;
   drain_pend_cur t l
 
@@ -285,7 +345,7 @@ let remove_lstate t (l : lstate) ~installed =
   end_lflush t l ~outcome:"left";
   if installed then
     Rt.trace t.rt (fun () -> Plwg_obs.Event.Group_left { layer = Lwg; node = t.node; group = Gid.to_string l.lwg });
-  Hashtbl.remove t.lstates (Gid.code l.lwg)
+  Itbl.remove t.lstates (Gid.code l.lwg)
 
 let[@transition] check_migration t (l : lstate) =
   match (l.status, l.view, l.hwg) with
@@ -323,7 +383,7 @@ let try_finish_drain t (l : lstate) =
       let satisfied =
         Node_id.Map.for_all
           (fun sender upto ->
-            delivered_count l.delivered sender >= upto || not (Node_id.Set.mem sender present))
+            delivered_count l sender >= upto || not (Node_id.Set.mem sender present))
           d_cut
       in
       if satisfied then finish_drain t l ~d_view ~d_switch ~d_leaving
@@ -477,13 +537,14 @@ let request_merge t carrier =
     multicast_h t carrier L_merge_views
   end
 
+let draining_into (l : lstate) lview =
+  match l.status with Draining { d_view; _ } -> View_id.equal d_view.View.id lview | _ -> false
+[@@zero_alloc_hot]
+
 let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body =
-  match lstate_of t lwg with
-  | None -> () (* filtered: the interference cost was already paid at the CPU *)
-  | Some l -> (
-      let pending_view =
-        match l.status with Draining { d_view; _ } -> Some d_view.View.id | _ -> None
-      in
+  match lstate_exn t lwg with
+  | exception Not_found -> () (* filtered: the interference cost was already paid at the CPU *)
+  | l -> (
       match l.view with
       | Some view when View_id.equal view.View.id lview ->
           if l_deliverable l ~src ~seq ~vc then begin
@@ -491,10 +552,12 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
             drain_pend_cur t l;
             try_finish_drain t l
           end
-          else if seq >= delivered_count l.delivered src then
-            l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur
-      | _ when (match pending_view with Some vid -> View_id.equal vid lview | None -> false) ->
-          l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new
+          else if seq >= delivered_count l src then
+            (l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
+            [@alloc_ok "out of order: buffered until deliverable"]
+      | _ when draining_into l lview ->
+          (l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new)
+          [@alloc_ok "ahead of the install this node is draining into"]
       | Some _ when View_id.Set.mem lview l.ancestors -> () (* stale: already cut *)
       | Some _ ->
           (* a concurrent view of my LWG shares this HWG: local peer
@@ -503,9 +566,11 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
              installed moments before I do (the shrink races the data
              under loss): buffer the message so the install replays it
              instead of silently cutting it from the view. *)
-          l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new;
+          (l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new)
+          [@alloc_ok "a concurrent view: buffered for the merge round"];
           request_merge t carrier
       | None -> ())
+[@@zero_alloc_hot]
 
 (* ------------------------------------------------------------------ *)
 (* Merge-views protocol (Figure 5)                                     *)
@@ -514,7 +579,7 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
 let my_views_on t carrier =
   (* Gid.code order = Gid.compare order, so all sorted iterations below
      are unchanged by the int keying *)
-  Plwg_util.Tbl.fold_sorted ~cmp:Int.compare
+  Itbl.fold_sorted
     (fun _ (l : lstate) acc ->
       match (l.hwg, l.view, l.status) with
       | Some h, Some view, (L_normal | L_stopped) when Gid.equal h carrier -> (l.lwg, view, l.lineage) :: acc
@@ -585,17 +650,17 @@ let[@transition] compute_merges t hs hview =
      abandoned; the lineage latch in [handle_hwg_view] reopens it. *)
   if not (Node_id.Set.for_all (fun n -> Node_id.Map.mem n hs.all_views) present) then ()
   else begin
-  let by_lwg : (int, (Node_id.t * View.t * lineage) list) Hashtbl.t = Hashtbl.create 8 in
+  let by_lwg : (Node_id.t * View.t * lineage) list Itbl.t = Itbl.create () in
   Node_id.Map.iter
     (fun from views ->
       List.iter
         (fun (lwg, view, lin) ->
           let key = Gid.code lwg in
-          let known = try Hashtbl.find by_lwg key with Not_found -> [] in
-          Hashtbl.replace by_lwg key ((from, view, lin) :: known))
+          let known = try Itbl.find by_lwg key with Not_found -> [] in
+          Itbl.replace by_lwg key ((from, view, lin) :: known))
         views)
     hs.all_views;
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun lwg_code contribs ->
       let lwg = Gid.of_code lwg_code in
       let views =
@@ -769,7 +834,7 @@ let[@transition] handle_hwg_view t hgid hview =
   in
   hs.hview <- Some hview;
   if not mainline then
-    Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+    Itbl.iter_sorted
       (fun _ (l : lstate) ->
         match (l.hwg, l.view, l.lineage) with
         | Some h, Some _, L_continuous when Gid.equal h hgid ->
@@ -784,7 +849,7 @@ let[@transition] handle_hwg_view t hgid hview =
         | _, _, _ -> ())
       t.lstates;
   (* joiners waiting for HWG membership can announce now *)
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ (l : lstate) ->
       match (l.status, l.hwg) with
       | Joining_hwg, Some h when Gid.equal h hgid && View.mem t.node hview ->
@@ -815,7 +880,7 @@ let[@transition] handle_hwg_view t hgid hview =
      above already reconciled are back to [L_continuous] and do not
      retrigger. *)
   if
-    Plwg_util.Tbl.fold_sorted ~cmp:Int.compare
+    Itbl.fold_sorted
       (fun _ (l : lstate) acc ->
         acc
         ||
@@ -825,7 +890,7 @@ let[@transition] handle_hwg_view t hgid hview =
       t.lstates false
   then request_merge t hgid;
   (* deterministic shrink of LWG views that lost HWG members *)
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ (l : lstate) ->
       match l.hwg with
       | Some h when Gid.equal h hgid ->
@@ -835,7 +900,7 @@ let[@transition] handle_hwg_view t hgid hview =
       | Some _ | None -> ())
     t.lstates;
   (* migrations waiting for this HWG *)
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ (l : lstate) ->
       match (l.status, l.hwg) with
       | Migrating, Some h when Gid.equal h hgid -> check_migration t l
@@ -932,7 +997,7 @@ let best_entry entries =
    belongs to; otherwise mint a fresh HWG. *)
 let initial_hwg t =
   let mine =
-    Plwg_util.Tbl.fold_sorted ~cmp:Int.compare
+    Itbl.fold_sorted
       (fun _ hs acc -> match hs.hview with Some hv when View.mem t.node hv -> hs.hgid :: acc | _ -> acc)
       t.hstates []
   in
@@ -1001,14 +1066,14 @@ let handle_multiple_mappings t lwg entries =
 (* ------------------------------------------------------------------ *)
 
 let lwgs_mapped_on t hgid =
-  Plwg_util.Tbl.fold_sorted ~cmp:Int.compare (fun _ (l : lstate) acc -> if Option.equal Gid.equal l.hwg (Some hgid) then acc + 1 else acc) t.lstates 0
+  Itbl.fold_sorted (fun _ (l : lstate) acc -> if Option.equal Gid.equal l.hwg (Some hgid) then acc + 1 else acc) t.lstates 0
 
 let run_policies_now t =
   match t.mode with
   | Direct | Static _ -> ()
   | Dynamic ->
       let candidates =
-        Plwg_util.Tbl.fold_sorted ~cmp:Int.compare
+        Itbl.fold_sorted
           (fun _ hs acc ->
             match hs.hview with
             | Some hv when View.mem t.node hv && Hwg.is_member t.hwg hs.hgid ->
@@ -1017,7 +1082,7 @@ let run_policies_now t =
           t.hstates []
       in
       (* interference rule, per LWG I coordinate *)
-      Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+      Itbl.iter_sorted
         (fun _ (l : lstate) ->
           match (l.status, l.view, l.hwg) with
           | L_normal, Some view, Some hgid when Node_id.equal (lwg_coordinator view) t.node && Option.is_none l.flush -> (
@@ -1075,7 +1140,7 @@ let run_policies_now t =
                       subject = Gid.to_string loser;
                       decision = "collapse-into " ^ Gid.to_string winner;
                     });
-              Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+              Itbl.iter_sorted
                 (fun _ (l : lstate) ->
                   match (l.status, l.view, l.hwg) with
                   | L_normal, Some view, Some h
@@ -1087,7 +1152,7 @@ let run_policies_now t =
       (* shrink rule, per HWG *)
       let now = Rt.now t.rt in
       let to_leave = ref [] in
-      Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+      Itbl.iter_sorted
         (fun _ hs ->
           let hgid = hs.hgid in
           if Hwg.is_member t.hwg hgid then
@@ -1106,7 +1171,7 @@ let run_policies_now t =
               Plwg_obs.Event.Policy_decision
                 { node = t.node; rule = "shrink"; subject = Gid.to_string hgid; decision = "leave-hwg" });
           Hwg.leave t.hwg hgid;
-          Hashtbl.remove t.hstates (Gid.code hgid))
+          Itbl.remove t.hstates (Gid.code hgid))
         !to_leave
 
 (* ------------------------------------------------------------------ *)
@@ -1117,7 +1182,7 @@ let state_grace = Time.sec 2
 
 let[@transition] tick t =
   let now = Rt.now t.rt in
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ (l : lstate) ->
       (* best-effort state transfer: don't hold deliveries forever if the
          coordinator died before shipping the state *)
@@ -1191,7 +1256,7 @@ let[@transition] tick t =
     t.lstates
 
 let gossip t =
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ hs ->
       if Hwg.is_member t.hwg hs.hgid then
         match my_plain_views_on t hs.hgid with
@@ -1221,7 +1286,7 @@ let join ?(ordering = Fifo) t lwg =
               provisional = None;
               next_seq = 0;
               total_sent = 0;
-              delivered = Node_id.Map.empty;
+              delivered = [||];
               pend_cur = [];
               pend_new = [];
               outbox = [];
@@ -1234,7 +1299,7 @@ let join ?(ordering = Fifo) t lwg =
               lineage = L_continuous;
             }
           in
-          Hashtbl.replace t.lstates (Gid.code lwg) l;
+          Itbl.replace t.lstates (Gid.code lwg) l;
           resolve_mapping t l)
 
 let[@transition] leave t lwg =
@@ -1260,9 +1325,9 @@ let send t lwg body =
   match t.mode with
   | Direct -> Hwg.send t.hwg lwg body
   | Static _ | Dynamic -> (
-      match lstate_of t lwg with
-      | None -> invalid_arg "Lwg.send: not a member of the group"
-      | Some l -> send_in t l body)
+      match lstate_exn t lwg with
+      | exception Not_found -> invalid_arg "Lwg.send: not a member of the group"
+      | l -> send_in t l body)
 
 let view_of t lwg =
   match t.mode with
@@ -1278,7 +1343,7 @@ let lwgs t =
   match t.mode with
   | Direct -> Hwg.groups t.hwg
   | Static _ | Dynamic ->
-      Plwg_util.Tbl.fold_sorted ~cmp:Int.compare (fun _ l acc -> if Option.is_some l.view then l.lwg :: acc else acc) t.lstates []
+      Itbl.fold_sorted (fun _ l acc -> if Option.is_some l.view then l.lwg :: acc else acc) t.lstates []
       |> List.sort Gid.compare
 
 let enable_state_transfer t callbacks =
@@ -1310,9 +1375,9 @@ let handle_hwg_data t ~carrier ~src payload =
   | L_join_req { lwg; joiner } -> handle_join_req t ~carrier ~lwg ~joiner
   | L_leave_req { lwg; leaver } -> handle_leave_req t ~lwg ~leaver
   | L_stop { lwg; epoch; lview } -> (
-      match lstate_of t lwg with Some l -> handle_lstop t l ~epoch ~lview | None -> ())
+      match lstate_exn t lwg with l -> handle_lstop t l ~epoch ~lview | exception Not_found -> ())
   | L_stop_ok { lwg; epoch; from; sent } -> (
-      match lstate_of t lwg with Some l -> handle_lstop_ok t l ~epoch ~from ~sent | None -> ())
+      match lstate_exn t lwg with l -> handle_lstop_ok t l ~epoch ~from ~sent | exception Not_found -> ())
   | L_view { lwg; epoch; view; cut; switch_to } -> handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to
   | L_forward { lwg; to_hwg } -> handle_forward t ~lwg ~to_hwg
   | L_gossip { views } -> handle_gossip t ~carrier ~views
@@ -1320,18 +1385,19 @@ let handle_hwg_data t ~carrier ~src payload =
   | L_all_views { from; views } -> handle_all_views t ~carrier ~from ~views
   | L_arrived _ -> ()
   | L_state { lwg; lview; recipients; state } -> (
-      match (lstate_of t lwg, t.state_callbacks) with
-      | Some l, Some callbacks when List.mem t.node recipients -> (
+      match (lstate_exn t lwg, t.state_callbacks) with
+      | l, Some callbacks when List.mem t.node recipients -> (
           match l.view with
           | Some view when View_id.equal view.View.id lview -> install_transferred_state t ~src l callbacks ~state
           | Some _ | None -> ())
-      | _, _ -> ())
+      | _, _ -> ()
+      | exception Not_found -> ())
   | _ -> ()
 
 (* Crash recovery severs every held view's carrier lineage (see
    [shrink_check]): a frozen local view must not mint successor ids. *)
 let[@transition] mark_lineage_rejoined t node =
-  Plwg_util.Tbl.iter_sorted ~cmp:Int.compare
+  Itbl.iter_sorted
     (fun _ (l : lstate) -> if Option.is_some l.view then l.lineage <- L_rejoined node)
     t.lstates
 
@@ -1373,9 +1439,9 @@ let create ?(config = default_config) ~mode ~transport ~detector ?ns callbacks n
       callbacks;
       ns;
       hwg;
-      lstates = Hashtbl.create 16;
-      hstates = Hashtbl.create 16;
-      lseq_floor = Hashtbl.create 16;
+      lstates = Itbl.create ();
+      hstates = Itbl.create ();
+      lseq_floor = Itbl.create ();
       state_callbacks = None;
       lwg_gid_counter = 0;
       switches = 0;

@@ -61,8 +61,13 @@ type out_conn = {
   mutable acked_progress : int; (* value of peer's last cumulative ack *)
   mutable retries : int;
   mutable cur_rto : Time.span;
-  mutable timer : Rt.cancel option;
+  mutable timer : Rt.cancel; (* [no_timer] when none is armed *)
+  rto_fire : unit -> unit; (* the retransmission timer's action, built once per connection *)
 }
+
+(* The disarmed retransmission timer, compared physically: cancelling
+   it is a no-op, and arming costs only the engine's handle. *)
+let no_timer : Rt.cancel = fun () -> ()
 
 (* Receiver side of one (src, dst) connection. *)
 type in_conn = {
@@ -211,7 +216,7 @@ let reset_out ep ~dst oc =
           Plwg_obs.Event.Msg_dropped
             { src = ep.node; dst; kind = Payload.to_string s.s_body; reason = "conn-reset" }))
     oc.unacked;
-  (match oc.timer with Some cancel -> cancel () | None -> ());
+  oc.timer ();
   ep.conn_counter <- ep.conn_counter + 1;
   ep.in_flight <- ep.in_flight - Deque.length oc.unacked;
   oc.out_id <- ep.conn_counter;
@@ -221,37 +226,36 @@ let reset_out ep ~dst oc =
   oc.acked_progress <- 0;
   oc.retries <- 0;
   oc.cur_rto <- rto;
-  oc.timer <- None
+  oc.timer <- no_timer
 
 let retransmit_batch = 32
 
-let rec arm_timer ep ~dst oc =
-  let fire () =
-    oc.timer <- None;
-    if not (Deque.is_empty oc.unacked) then begin
-      oc.retries <- oc.retries + 1;
-      if oc.retries > give_up_after then reset_out ep ~dst oc
-      else begin
-        let batch = min retransmit_batch (Deque.length oc.unacked) in
-        for i = 0 to batch - 1 do
-          let s = Deque.get oc.unacked i in
-          slot_check s;
-          Rt.count ep.rt "transport.retransmits";
-          Rt.send ep.rt ~src:ep.node ~dst (Seg { conn = oc.out_id; seq = s.s_seq; body = s.s_body })
-        done;
-        oc.cur_rto <- min (oc.cur_rto * 2) max_rto;
-        arm_timer ep ~dst oc
-      end
+let arm_timer ep oc = oc.timer <- Rt.after_node ep.rt ep.node oc.cur_rto oc.rto_fire
+
+let rto_expired ep ~dst oc =
+  oc.timer <- no_timer;
+  if not (Deque.is_empty oc.unacked) then begin
+    oc.retries <- oc.retries + 1;
+    if oc.retries > give_up_after then reset_out ep ~dst oc
+    else begin
+      let batch = min retransmit_batch (Deque.length oc.unacked) in
+      for i = 0 to batch - 1 do
+        let s = Deque.get oc.unacked i in
+        slot_check s;
+        Rt.count ep.rt "transport.retransmits";
+        Rt.send ep.rt ~src:ep.node ~dst (Seg { conn = oc.out_id; seq = s.s_seq; body = s.s_body })
+      done;
+      oc.cur_rto <- min (oc.cur_rto * 2) max_rto;
+      arm_timer ep oc
     end
-  in
-  oc.timer <- Some (Rt.after_node ep.rt ep.node oc.cur_rto fire)
+  end
 
 let get_out ep dst =
   match ep.outs.(dst) with
   | Some oc -> oc
   | None ->
       ep.conn_counter <- ep.conn_counter + 1;
-      let oc =
+      let rec oc =
         {
           out_id = ep.conn_counter;
           next_seq = 0;
@@ -259,7 +263,8 @@ let get_out ep dst =
           acked_progress = 0;
           retries = 0;
           cur_rto = rto;
-          timer = None;
+          timer = no_timer;
+          rto_fire = (fun () -> rto_expired ep ~dst oc);
         }
       in
       ep.outs.(dst) <- Some oc;
@@ -291,8 +296,8 @@ let on_ack ep ~src ~conn ~next =
       end;
       prune_acked ep oc ~next;
       if Deque.is_empty oc.unacked then begin
-        (match oc.timer with Some cancel -> cancel () | None -> ());
-        oc.timer <- None
+        oc.timer ();
+        oc.timer <- no_timer
       end
   | _ -> ()
 [@@zero_alloc_hot]
@@ -326,21 +331,20 @@ let endpoint t node =
       t.endpoints.(node) <- Some ep;
       Rt.subscribe t.fabric_rt node (fun ~src payload -> handle ep ~src payload);
       (* Timers pending when this node crashed were silently skipped,
-         leaving stale [Some] timer handles: retransmission would never
-         re-arm (send only arms when [timer = None]) and a pending ack
+         leaving stale timer handles: retransmission would never
+         re-arm (send only arms when [timer == no_timer]) and a pending ack
          would never fire while [ack_pending] stays set.  Reset both on
          recovery so backlogs drain again. *)
       Rt.on_recover t.fabric_rt node (fun () ->
           (* array index order = node-id order, so iteration is
              deterministic without the sorted-table walk *)
-          Array.iteri
-            (fun dst oc ->
+          Array.iter
+            (fun oc ->
               match oc with
               | Some oc when not (Deque.is_empty oc.unacked) ->
-                  (match oc.timer with Some cancel -> cancel () | None -> ());
-                  oc.timer <- None;
+                  oc.timer ();
                   oc.cur_rto <- rto;
-                  arm_timer ep ~dst oc
+                  arm_timer ep oc
               | _ -> ())
             ep.outs;
           Array.iteri
@@ -366,7 +370,7 @@ let send ep ~dst body =
     if ep.in_flight > ep.in_flight_peak then ep.in_flight_peak <- ep.in_flight;
     Rt.send ep.rt ~src:ep.node ~dst
       ((Seg { conn = oc.out_id; seq; body }) [@alloc_ok "the wire segment itself: the one block a send must build"]);
-    if oc.timer = None then arm_timer ep ~dst oc
+    if oc.timer == no_timer then arm_timer ep oc
   end
 [@@zero_alloc_hot]
 

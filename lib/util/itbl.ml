@@ -12,7 +12,14 @@
    plwg-lint's hashtbl-iter-order rule enforces for stdlib tables.
 
    Keys are single-bound ([replace] semantics); negative keys are
-   rejected ([-1]/[-2] are the empty/tombstone slot markers). *)
+   rejected ([-1]/[-2] are the empty/tombstone slot markers).
+
+   Walks read a cached key-ascending snapshot array.  [replace] and
+   [remove] drop it and the next walk rebuilds it, so a walk over a
+   table whose keys did not change since the previous walk allocates
+   nothing.  A rebuild makes a fresh array and never writes into the
+   old one: a walk keeps iterating the snapshot it started with, so a
+   mutation during a walk is invisible to it. *)
 
 type 'a t = {
   mutable keys : int array; (* -1 empty, -2 tombstone *)
@@ -20,12 +27,20 @@ type 'a t = {
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable live : int; (* bound keys *)
   mutable used : int; (* live + tombstones: drives resizing *)
+  mutable sorted : (int * 'a) array option; (* key-ascending bindings; [None] from a mutation to the next walk *)
 }
 
 let min_capacity = 16
 
 let create () =
-  { keys = Array.make min_capacity (-1); vals = Array.make min_capacity None; mask = min_capacity - 1; live = 0; used = 0 }
+  {
+    keys = Array.make min_capacity (-1);
+    vals = Array.make min_capacity None;
+    mask = min_capacity - 1;
+    live = 0;
+    used = 0;
+    sorted = None;
+  }
 
 let length t = t.live
 
@@ -80,6 +95,7 @@ let grow t =
 
 let replace t key v =
   if key < 0 then invalid_arg "Itbl.replace: negative key";
+  t.sorted <- None;
   let boxed = Some v in
   let rec go i tomb =
     let k = t.keys.(i) in
@@ -103,6 +119,7 @@ let remove t key =
   if key >= 0 then begin
     let i = probe_find t key (slot_of t key) in
     if i >= 0 then begin
+      t.sorted <- None;
       t.keys.(i) <- -2;
       t.vals.(i) <- None;
       t.live <- t.live - 1
@@ -110,10 +127,29 @@ let remove t key =
   end
 
 (* Key-ascending snapshot: the only way to walk the table. *)
-let bindings_sorted t =
-  let acc = ref [] in
-  Array.iteri (fun i k -> if k >= 0 then match t.vals.(i) with Some v -> acc := (k, v) :: !acc | None -> ()) t.keys;
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+let snapshot t =
+  match t.sorted with
+  | Some snap -> snap
+  | None ->
+      let acc = ref [] in
+      Array.iteri (fun i k -> if k >= 0 then match t.vals.(i) with Some v -> acc := (k, v) :: !acc | None -> ()) t.keys;
+      let snap = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc) in
+      t.sorted <- Some snap;
+      snap
 
-let iter_sorted f t = List.iter (fun (key, value) -> f key value) (bindings_sorted t)
-let fold_sorted f t init = List.fold_left (fun acc (key, value) -> f key value acc) init (bindings_sorted t)
+let bindings_sorted t = Array.to_list (snapshot t)
+
+let iter_sorted f t =
+  let snap = snapshot t in
+  for i = 0 to Array.length snap - 1 do
+    let key, value = snap.(i) in
+    f key value
+  done
+
+let rec fold_from f snap i acc =
+  if i = Array.length snap then acc
+  else
+    let key, value = snap.(i) in
+    fold_from f snap (i + 1) (f key value acc)
+
+let fold_sorted f t init = fold_from f (snapshot t) 0 init

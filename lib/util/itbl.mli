@@ -10,7 +10,13 @@
     [fold_sorted] / [bindings_sorted] walk bindings in ascending key
     order, so table walks are deterministic by construction — the
     property plwg-lint's hashtbl-iter-order rule has to enforce by hand
-    for stdlib tables. *)
+    for stdlib tables.
+
+    Walks read a cached key-ascending snapshot, dropped by [replace] and
+    [remove] and rebuilt by the next walk: repeated walks over a table
+    whose bindings did not change allocate nothing.  A walk visits
+    exactly the bindings present when it started, in key order, even if
+    [f] mutates the table. *)
 
 type 'a t
 
@@ -26,5 +32,7 @@ val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
 val bindings_sorted : 'a t -> (int * 'a) list
+(** The snapshot as a list (allocates the list). *)
+
 val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit
 val fold_sorted : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

@@ -32,10 +32,12 @@ let received log ~node ~group =
 let check_invariants stack =
   Alcotest.(check (list string)) "vs invariants" [] (Stack.check_vs stack)
 
-let view_at stack node group =
-  match Service.view_of stack.Stack.services.(node) group with
+let view_in services node group =
+  match Service.view_of services.(node) group with
   | Some v -> v
   | None -> Alcotest.failf "node %d has no view of %s" node (Gid.to_string group)
+
+let view_at stack node group = view_in stack.Stack.services node group
 
 (* ---------------- basics (Dynamic mode) ---------------- *)
 
@@ -650,6 +652,186 @@ let test_churn_joiner_follows_carrier () =
   Alcotest.(check bool) "converged" true (List.for_all (Stack.lwg_converged stack) groups);
   check_invariants stack
 
+(* ---------------- causal counters across growth and a view change ---------------- *)
+
+(* A causal relay on the static carrier whose members include the
+   highest app node id, so each member's counter array grows past its
+   first senders, and whose second burst runs after a join, so the
+   counters restart from zero at the install.  A spy HWG on one extra
+   node, outside the LWG, joins the carrier and records every L_data it
+   carries; each one's causal vector must be exactly what the sender had
+   delivered in its current view at send time: the senders with a
+   non-zero count, in ascending node order. *)
+let test_causal_counters_grow_and_reset () =
+  let n_app = 6 in
+  let spy = n_app in
+  let group = lwg 11 in
+  let members = [ 0; 2; n_app - 1 ] in
+  let jittery = { Model.default with Model.link_jitter = Time.us 900 } in
+  let obs = Plwg_obs.create () in
+  let engine = Sim_rt.create ~obs ~model:jittery ~seed:23 ~n_nodes:(n_app + 1) () in
+  let services = ref [||] in
+  (* per node: deliveries per sender in the current LWG view *)
+  let counts = Array.init n_app (fun _ -> Hashtbl.create 8) in
+  let expected = Array.make n_app [] (* per sender, newest first *) in
+  let violations = ref 0 and answers = ref 0 and asked = ref [] in
+  let send node body =
+    let vc =
+      Hashtbl.fold (fun src n acc -> if n > 0 then (src, n) :: acc else acc) counts.(node) []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
+    expected.(node) <- vc :: expected.(node);
+    Service.send !services.(node) group body
+  in
+  let callbacks node =
+    {
+      Service.on_view = (fun g _ -> if Gid.equal g group then Hashtbl.reset counts.(node));
+      Service.on_data =
+        (fun g ~src payload ->
+          if Gid.equal g group then begin
+            Hashtbl.replace counts.(node) src (1 + Option.value ~default:0 (Hashtbl.find_opt counts.(node) src));
+            match payload with
+            | Ask k ->
+                if node = 0 then asked := k :: !asked;
+                if node = n_app - 1 then send node (Answer k)
+            | Answer k ->
+                if node = 0 then begin
+                  incr answers;
+                  if not (List.mem k !asked) then incr violations
+                end
+            | _ -> ()
+          end);
+    }
+  in
+  let parts = Stack.wire ~callbacks ~mode:Stack.Static ~n_app (Sim_rt.rt engine) in
+  services := parts.Stack.p_services;
+  let shipped = Array.make n_app [] (* per sender, newest first *) in
+  let spy_hwg = ref None in
+  let spy_callbacks =
+    {
+      Hwg.no_callbacks with
+      Hwg.on_data =
+        (fun carrier ~view_id:_ ~src payload ->
+          match (payload, !spy_hwg) with
+          | Plwg.Messages.L_data { lwg = g; vc; _ }, _ when Gid.equal g group -> shipped.(src) <- vc :: shipped.(src)
+          | Plwg.Messages.L_merge_views, Some hwg ->
+              (* a merge round completes only once every carrier member
+                 contributed: answer as a service holding no LWG views *)
+              Hwg.send hwg carrier (Plwg.Messages.L_all_views { from = spy; views = [] })
+          | _, _ -> ());
+    }
+  in
+  let spy_hwg =
+    let hwg = Hwg.create ~transport:parts.Stack.p_transport ~detector:parts.Stack.p_detectors.(spy) spy_callbacks spy in
+    spy_hwg := Some hwg;
+    hwg
+  in
+  Hwg.join spy_hwg Stack.static_hwg;
+  List.iter (fun node -> Service.join ~ordering:Plwg_vsync.Types.Causal !services.(node) group) members;
+  Sim_rt.run_span engine (Time.sec 10);
+  let burst first =
+    for k = first to first + 19 do
+      let (_ : Sim_rt.cancel) = Sim_rt.after engine (Time.ms (5 * (k - first + 1))) (fun () -> send 2 (Ask k)) in
+      ()
+    done;
+    Sim_rt.run_span engine (Time.sec 3)
+  in
+  burst 1;
+  let view_before = view_in !services 0 group in
+  Service.join ~ordering:Plwg_vsync.Types.Causal !services.(1) group;
+  Sim_rt.run_span engine (Time.sec 8);
+  let view_after = view_in !services 0 group in
+  Alcotest.(check (list int)) "the join installed" [ 0; 1; 2; n_app - 1 ] view_after.View.members;
+  Alcotest.(check bool) "a new view" false (View_id.equal view_before.View.id view_after.View.id);
+  burst 21;
+  Alcotest.(check int) "no causal violation" 0 !violations;
+  Alcotest.(check int) "every answer arrived" 40 !answers;
+  Array.iteri
+    (fun node vcs ->
+      Alcotest.(check (list (list (pair int int))))
+        (Printf.sprintf "vectors shipped by node %d" node)
+        (List.rev expected.(node)) (List.rev vcs))
+    shipped;
+  Alcotest.(check bool) "the relay shipped non-empty vectors" true
+    (List.exists (fun vc -> List.length vc >= 2) shipped.(n_app - 1));
+  Alcotest.(check (list string)) "vs invariants" []
+    (Plwg_harness.Trace_check.check_sink Plwg_harness.Trace_check.check_vs obs.Plwg_obs.sink)
+
+(* ---------------- steady-state allocation gate (Dynamic mode) ---------------- *)
+
+(* One four-member LWG on one carrier, with the naming replicas, wired
+   without the Stack fixture's always-on sink.  Node 0 sends one
+   preallocated payload every [gate_period] from a self-rescheduling
+   timer, so the send loop allocates nothing per message, and the LWG
+   layer's demultiplexing, counters and periodic walks (ticks, gossip,
+   policy rounds) are all inside the measured window. *)
+let gate_period = Time.ms 2
+
+let lwg_gate_stack ?obs () =
+  let n_app = 4 in
+  let engine = Sim_rt.create ?obs ~model:Model.default ~seed:7 ~n_nodes:(n_app + Stack.n_servers) () in
+  let delivered = ref 0 in
+  let callbacks _node = { Service.no_callbacks with Service.on_data = (fun _ ~src:_ _ -> incr delivered) } in
+  let parts = Stack.wire ~callbacks ~mode:Stack.Dynamic ~n_app (Sim_rt.rt engine) in
+  let services = parts.Stack.p_services in
+  let group = lwg 12 in
+  Array.iter (fun service -> Service.join service group) services;
+  Sim_rt.run_span engine (Time.sec 10);
+  Array.iter
+    (fun service ->
+      Alcotest.(check int) "four-member view" n_app (List.length (view_in services (Service.node service) group).View.members))
+    services;
+  Alcotest.(check bool) "one carrier" true
+    (Array.for_all (fun service -> Service.mapping_of service group = Service.mapping_of services.(0) group) services);
+  let payloads = Array.init 5_000 (fun i -> App i) in
+  let sent = ref 0 in
+  let rt = Sim_rt.rt engine in
+  let rec send_loop () =
+    if !sent < Array.length payloads then begin
+      Service.send services.(0) group payloads.(!sent);
+      incr sent;
+      Plwg_runtime.Rt.at_node_ rt 0 gate_period send_loop
+    end
+  in
+  Plwg_runtime.Rt.at_node_ rt 0 gate_period send_loop;
+  (engine, delivered)
+
+(* Minor words per delivery over a steady-state window: LWG, HWG,
+   transport and naming background all count.  The window measures 15.5
+   words; delivery counters or periodic table walks that allocate push
+   it past 40. *)
+let lwg_gate_bound = 20.
+
+let test_lwg_steady_state_alloc_gate () =
+  let engine, delivered = lwg_gate_stack () in
+  Sim_rt.run_span engine (Time.sec 1);
+  let d0 = !delivered and w0 = Gc.minor_words () in
+  Sim_rt.run_span engine (Time.sec 4);
+  let words = Gc.minor_words () -. w0 and deliveries = !delivered - d0 in
+  Alcotest.(check int) "every send delivered at all four members" (4 * (Time.sec 4 / gate_period)) deliveries;
+  let per_delivery = words /. float_of_int deliveries in
+  if per_delivery > lwg_gate_bound then Alcotest.failf "%.1f minor words per delivery > %.0f" per_delivery lwg_gate_bound
+
+(* The traced twin: with a sink attached, the LWG tracing guard must not
+   drop a single delivery event. *)
+let test_lwg_steady_state_traced_twin () =
+  let obs = Plwg_obs.create () in
+  let engine, delivered = lwg_gate_stack ~obs () in
+  let d0 = !delivered in
+  Sim_rt.run_span engine (Time.sec 1);
+  Alcotest.(check int) "the ring kept every entry" 0 (Plwg_obs.Sink.dropped obs.Plwg_obs.sink);
+  let events =
+    List.length
+      (List.filter
+         (fun (entry : Plwg_obs.Event.entry) ->
+           match entry.Plwg_obs.Event.event with
+           | Plwg_obs.Event.Group_delivered { layer = Plwg_obs.Event.Lwg; _ } -> true
+           | _ -> false)
+         (Plwg_harness.Trace_check.entries obs.Plwg_obs.sink))
+  in
+  Alcotest.(check bool) "deliveries happened" true (!delivered - d0 > 1_000);
+  Alcotest.(check int) "one Group_delivered per delivery" !delivered events
+
 let suite =
   [
     Alcotest.test_case "create singleton" `Quick test_create_singleton;
@@ -683,4 +865,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_churn_converges;
     Alcotest.test_case "churn 30: merge round clears the latch" `Quick test_churn_latch_clears;
     Alcotest.test_case "churn 586: joiner follows the carrier" `Quick test_churn_joiner_follows_carrier;
+    Alcotest.test_case "causal counters grow and reset" `Quick test_causal_counters_grow_and_reset;
+    Alcotest.test_case "lwg steady-state allocation gate" `Quick test_lwg_steady_state_alloc_gate;
+    Alcotest.test_case "lwg steady-state traced twin" `Quick test_lwg_steady_state_traced_twin;
   ]

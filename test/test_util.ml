@@ -531,6 +531,86 @@ let prop_itbl_matches_hashtbl_model =
       && Itbl.bindings_sorted t = model_sorted
       && Itbl.fold_sorted (fun k v acc -> (k, v) :: acc) t [] = List.rev model_sorted)
 
+(* The walk order is the sorted list model's, with walks interleaved
+   with the mutations so every walk after a [replace] or [remove] has to
+   rebuild the cached snapshot, and walks in between reuse it. *)
+let prop_itbl_walk_matches_list_model =
+  QCheck.Test.make ~name:"itbl: cached walk order matches a sorted list model" ~count:200
+    QCheck.(pair (int_bound 100_000) (int_range 1 300))
+    (fun (seed, n_ops) ->
+      let rng = Rng.create ~seed in
+      let t = Itbl.create () in
+      let model = ref [] in
+      let walked () = List.rev (Itbl.fold_sorted (fun k v acc -> (k, v) :: acc) t []) in
+      let iterated () =
+        let acc = ref [] in
+        Itbl.iter_sorted (fun k v -> acc := (k, v) :: !acc) t;
+        List.rev !acc
+      in
+      let ok = ref true in
+      for _ = 1 to n_ops do
+        let key = Rng.int rng 60 in
+        (match Rng.int rng 4 with
+        | 0 | 1 ->
+            let v = Rng.int rng 1000 in
+            Itbl.replace t key v;
+            model := (key, v) :: List.remove_assoc key !model
+        | 2 ->
+            Itbl.remove t key;
+            model := List.remove_assoc key !model
+        | _ -> ());
+        let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) !model in
+        ok := !ok && walked () = sorted && iterated () = sorted && Itbl.bindings_sorted t = sorted
+      done;
+      !ok)
+
+(* A walk visits the bindings present when it started, in key order,
+   whatever its callback does to the table. *)
+let test_itbl_walk_snapshot () =
+  let t = Itbl.create () in
+  List.iter (fun k -> Itbl.replace t k (k * 10)) [ 5; 1; 9; 3; 7 ];
+  let before = Itbl.bindings_sorted t in
+  let seen = ref [] in
+  Itbl.iter_sorted
+    (fun k v ->
+      seen := (k, v) :: !seen;
+      (* drop a later key, add keys on both sides, rebind the next one *)
+      if k = 3 then begin
+        Itbl.remove t 7;
+        Itbl.replace t 4 40;
+        Itbl.replace t 100 1000;
+        Itbl.replace t 5 555
+      end)
+    t;
+  Alcotest.(check (list (pair int int))) "visited the pre-walk bindings" before (List.rev !seen);
+  Alcotest.(check (list (pair int int)))
+    "the mutations are visible to the next walk"
+    [ (1, 10); (3, 30); (4, 40); (5, 555); (9, 90); (100, 1000) ]
+    (Itbl.bindings_sorted t);
+  let folded = Itbl.fold_sorted (fun k _ acc -> Itbl.remove t k; k :: acc) t [] in
+  Alcotest.(check (list int)) "a fold that empties the table still visits every key" [ 100; 9; 5; 4; 3; 1 ] folded;
+  Alcotest.(check int) "emptied" 0 (Itbl.length t)
+
+let walk_total = ref 0
+let add_value _ v = walk_total := !walk_total + v
+let sum_value _ v acc = acc + v
+
+let test_itbl_repeated_walk_allocates_nothing () =
+  let t = Itbl.create () in
+  for k = 0 to 63 do
+    Itbl.replace t (k * 7) k
+  done;
+  Itbl.iter_sorted add_value t;
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Itbl.iter_sorted add_value t;
+    sum := !sum + Itbl.fold_sorted sum_value t 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every walk saw every binding" (1_000 * 2016) !sum;
+  Alcotest.(check (float 0.)) "1,000 unchanged iter + fold walks allocate 0 minor words" 0. words
+
 let test_intern_round_trip () =
   let t = Intern.create () in
   let renders = ref 0 in
@@ -591,4 +671,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_itbl_matches_hashtbl_model;
     Alcotest.test_case "intern round trip" `Quick test_intern_round_trip;
     Alcotest.test_case "intern stable order" `Quick test_intern_stable_order;
+    QCheck_alcotest.to_alcotest prop_itbl_walk_matches_list_model;
+    Alcotest.test_case "itbl walk keeps its snapshot" `Quick test_itbl_walk_snapshot;
+    Alcotest.test_case "itbl repeated walk allocates nothing" `Quick test_itbl_repeated_walk_allocates_nothing;
   ]
