@@ -67,6 +67,29 @@ module Micro = struct
            ignore (Db.merge target a);
            ignore (Db.merge target b)))
 
+  (* A gossip receipt with no news: the peer holds what we hold, 256
+     LWGs with one live entry each at the end of 8 retired views. *)
+  let db_merge_repeat =
+    let replica () =
+      let db = Db.create () in
+      for lwg = 0 to 255 do
+        for s = 1 to 9 do
+          Db.set db
+            {
+              Db.lwg = gid lwg;
+              lwg_view = vid 0 s;
+              members = [ 0; 1; 2; 3 ];
+              hwg = gid 1000;
+              hwg_view = None;
+              preds = (if s > 1 then [ vid 0 (s - 1) ] else []);
+            }
+        done
+      done;
+      db
+    in
+    let ours = replica () and theirs = replica () in
+    Test.make ~name:"naming db merge (repeat, 256 LWGs)" (Staged.stage (fun () -> ignore (Db.merge ours theirs)))
+
   let members n = Plwg_sim.Node_id.set_of_list (List.init n (fun i -> i))
 
   let policy_rules =
@@ -88,7 +111,7 @@ module Micro = struct
            Array.iter (fun hwg -> Plwg_vsync.Hwg.join hwg group) cluster.Plwg_harness.Cluster.hwgs;
            Plwg_harness.Cluster.run cluster (Plwg_sim.Time.sec 1)))
 
-  let all = [ rng_draws; db_set; db_merge; policy_rules; simulation_slice ]
+  let all = [ rng_draws; db_set; db_merge; db_merge_repeat; policy_rules; simulation_slice ]
 
   let run ?(quick = false) () =
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

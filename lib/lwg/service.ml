@@ -169,6 +169,19 @@ let multicast_h t hgid payload = if Hwg.is_member t.hwg hgid then Hwg.send t.hwg
 
 let lwg_coordinator view = match view.View.members with [] -> -1 | m :: _ -> m
 
+(* Membership tests of a member list against a set, e.g. an LWG view's
+   members against its carrier's.  [Node_id.Set.subset] on two sets of
+   different shapes allocates; these walks do not. *)
+let rec all_present present = function
+  | [] -> true
+  | m :: rest -> Node_id.Set.mem m present && all_present present rest
+[@@zero_alloc_hot]
+
+let rec any_present present = function
+  | [] -> false
+  | m :: rest -> Node_id.Set.mem m present || any_present present rest
+[@@zero_alloc_hot]
+
 let hview_members t (l : lstate) =
   match l.hwg with
   | Some h -> (
@@ -351,7 +364,7 @@ let[@transition] check_migration t (l : lstate) =
   match (l.status, l.view, l.hwg) with
   | Migrating, Some view, Some h2 -> (
       match Hwg.view_of t.hwg h2 with
-      | Some hv when Node_id.Set.subset (View.members_set view) (View.members_set hv) ->
+      | Some hv when all_present (View.members_set hv) view.View.members ->
           l.status <- L_normal;
           ns_set_view t l view;
           drain_outbox t l
@@ -438,12 +451,11 @@ let finish_lflush t (l : lstate) flush =
   match (l.view, l.hwg) with
   | Some view, Some hwg ->
       end_lflush t l ~outcome:"installed";
-      let members = Node_id.Set.elements flush.lf_new_members in
-      (match members with
-      | [] -> () (* everyone left; nothing to install *)
-      | coord :: _ ->
+      (match Node_id.Set.min_elt_opt flush.lf_new_members with
+      | None -> () (* everyone left; nothing to install *)
+      | Some coord ->
           let id = { View_id.coord; seq = view.View.id.View_id.seq + 1 } in
-          let new_view = View.make ~id ~group:l.lwg ~members ~preds:[ view.View.id ] in
+          let new_view = View.of_set ~id ~group:l.lwg ~members:flush.lf_new_members ~preds:[ view.View.id ] in
           multicast_h t hwg
             (L_view
                {
@@ -586,7 +598,18 @@ let my_views_on t carrier =
       | _, _, _ -> acc)
     t.lstates []
 
-let my_plain_views_on t carrier = List.map (fun (lwg, view, _) -> (lwg, view)) (my_views_on t carrier)
+(* The gossip variant without lineage tags, folded directly: it is
+   built every gossip period on every carrier. *)
+let my_plain_views_on t carrier =
+  Itbl.fold_sorted
+    ((fun _ (l : lstate) acc ->
+       match (l.hwg, l.view, l.status) with
+       | Some h, Some view, (L_normal | L_stopped) when Gid.equal h carrier ->
+           ((l.lwg, view) :: acc) [@alloc_ok "the gossiped list itself"]
+       | _, _, _ -> acc)
+    [@alloc_ok "one closure per build"])
+    t.lstates []
+[@@zero_alloc_hot]
 
 let handle_merge_views t ~carrier =
   let hs = hstate_of t carrier in
@@ -636,9 +659,113 @@ let transitional_of ~holders ~seq ~lwg node (mine : View.t) =
               | tcoord :: _ ->
                   Some (View.make ~id:{ View_id.coord = tcoord; seq } ~group:lwg ~members:sub ~preds:[ mine.View.id ])))
 
+(* One LWG's ALL-VIEWS contributions are [(node, view, lineage)]
+   triples.  Which views they name and whether a view's holders diverge
+   are answered by walking that list, without building a holder list
+   per question. *)
+
+let rec has_view vid = function
+  | [] -> false
+  | (v : View.t) :: rest -> View_id.equal v.id vid || has_view vid rest
+[@@zero_alloc_hot]
+
+(* each contributed view id once, first contribution kept, in reverse
+   contribution order *)
+let rec distinct_views acc = function
+  | [] -> acc
+  | (_, (v : View.t), _) :: rest -> distinct_views (if has_view v.id acc then acc else v :: acc) rest
+
+let rec agree_on vid k0 = function
+  | [] -> true
+  | (_, (v : View.t), k) :: rest -> ((not (View_id.equal v.id vid)) || lineage_equal k k0) && agree_on vid k0 rest
+[@@zero_alloc_hot]
+
+(* two holders of [vid] contributed different lineages *)
+let rec divergent vid = function
+  | [] -> false
+  | (_, (v : View.t), k0) :: rest -> if View_id.equal v.id vid then not (agree_on vid k0 rest) else divergent vid rest
+[@@zero_alloc_hot]
+
+let holders vid contribs = List.filter (fun (_, (v : View.t), _) -> View_id.equal v.id vid) contribs
+
+(* The present members of [views].  The stored set of the first view is
+   reused when all of its members are present; the others' present
+   members are added to it. *)
+let present_members present views =
+  List.fold_left
+    (fun acc (v : View.t) ->
+      if Node_id.Set.is_empty acc && all_present present v.members then v.members_set
+      else List.fold_left (fun acc m -> if Node_id.Set.mem m present then Node_id.Set.add m acc else acc) acc v.members)
+    Node_id.Set.empty views
+
+(* One LWG of a merge round, at a node holding [mine].  [contribs] is
+   in descending contributor order. *)
+let[@transition] merge_lwg t hs present (l : lstate) (mine : View.t) contribs =
+  let lwg = l.lwg in
+  let relevant = List.filter (fun (v : View.t) -> any_present present v.members) (distinct_views [] contribs) in
+  let needs_merge =
+    match relevant with
+    | [] -> false
+    (* a single fully-present view held along one lineage needs no
+       merge.  Absent members or divergent holders still get resolved
+       HERE rather than in [shrink_check]: its holders may be recovered
+       or readmitted nodes, and minting from a possibly superseded view
+       locally is unsafe *)
+    | [ v ] -> (not (all_present present v.View.members)) || divergent v.View.id contribs
+    | _ -> true
+  in
+  if not needs_merge then (
+    (* One view, held by all its members along one lineage: nothing
+       diverged, so a latched lineage clears.  Left latched, it reopened
+       this round at every carrier install, forever (e.g. a coordinator
+       that alone moved its view to a fresh carrier). *)
+    match relevant with
+    | [ v ] when View_id.equal mine.View.id v.View.id ->
+        let holder_nodes = List.map (fun (n, _, _) -> n) (holders v.View.id contribs) in
+        if Node_id.Set.equal (View.members_set v) (Node_id.Set.of_list holder_nodes) then l.lineage <- L_continuous
+    | _ -> ())
+  else
+    let members = present_members present relevant in
+    match Node_id.Set.min_elt_opt members with
+    | None -> ()
+    | Some coord ->
+        let preds = List.map (fun v -> v.View.id) relevant in
+        if Node_id.Set.mem t.node members && has_view mine.View.id relevant then begin
+          let max_seq = List.fold_left (fun acc v -> max acc v.View.id.View_id.seq) 0 relevant in
+          (* when any contributed view has divergent holders, leave
+             room below the merged view's seq for their transitional
+             bridges (per-node installed seqs must be strictly
+             increasing) *)
+          let any_divergent = List.exists (fun v -> divergent v.View.id contribs) relevant in
+          let seq_new = max_seq + if any_divergent then 2 else 1 in
+          let view = View.of_set ~id:{ View_id.coord; seq = seq_new } ~group:lwg ~members ~preds in
+          Logs.debug (fun m -> m "n%d lwg-merge %s on %s" t.node (Gid.to_string lwg) (Gid.to_string hs.hgid));
+          (* [mine] becomes an ancestor at the install below *)
+          List.iter
+            (fun vid -> if not (View_id.equal vid mine.View.id) then l.ancestors <- View_id.Set.add vid l.ancestors)
+            preds;
+          t.merges <- t.merges + 1;
+          Rt.count t.rt "lwg.merges";
+          Rt.trace t.rt (fun () ->
+              Plwg_obs.Event.Reconcile_step { node = t.node; step = Plwg_obs.Event.Merge_views; group = Gid.to_string lwg });
+          (* holders that agree on a lineage need no bridge *)
+          (if divergent mine.View.id contribs then
+             match transitional_of ~holders:(holders mine.View.id contribs) ~seq:(max_seq + 1) ~lwg t.node mine with
+             | Some tview -> install_lview t l tview
+             | None -> ());
+          install_lview t l view;
+          l.status <- L_normal;
+          end_lflush t l ~outcome:"superseded";
+          ns_set_view t l view;
+          drain_outbox t l
+        end
+
 (* At the flush synchronisation point every continuing member holds the
    same ALL-VIEWS set, so the merge is computed deterministically and
-   locally: union the concurrent views of each LWG (Figure 5 line 115). *)
+   locally: union the concurrent views of each LWG (Figure 5 line 115).
+   The contributions are grouped by LWG once per round; an LWG this
+   node holds no view of is skipped before any analysis, since only a
+   node holding a view installs or clears anything. *)
 let[@transition] compute_merges t hs hview =
   let present = View.members_set hview in
   (* The minted id dominates every live lineage only if every present
@@ -648,108 +775,24 @@ let[@transition] compute_merges t hs hview =
      view than any in the set, and minting max+1 from a partial set
      can duplicate an id minted elsewhere).  An incomplete round is
      abandoned; the lineage latch in [handle_hwg_view] reopens it. *)
-  if not (Node_id.Set.for_all (fun n -> Node_id.Map.mem n hs.all_views) present) then ()
-  else begin
-  let by_lwg : (Node_id.t * View.t * lineage) list Itbl.t = Itbl.create () in
-  Node_id.Map.iter
-    (fun from views ->
-      List.iter
-        (fun (lwg, view, lin) ->
-          let key = Gid.code lwg in
-          let known = try Itbl.find by_lwg key with Not_found -> [] in
-          Itbl.replace by_lwg key ((from, view, lin) :: known))
-        views)
-    hs.all_views;
-  Itbl.iter_sorted
-    (fun lwg_code contribs ->
-      let lwg = Gid.of_code lwg_code in
-      let views =
-        List.fold_left
-          (fun acc (_, v, _) ->
-            if List.exists (fun v' -> View_id.equal v'.View.id v.View.id) acc then acc else v :: acc)
-          [] contribs
-      in
-      let relevant =
-        List.filter (fun v -> not (Node_id.Set.is_empty (Node_id.Set.inter (View.members_set v) present))) views
-      in
-      let holders vid = List.filter (fun (_, v, _) -> View_id.equal v.View.id vid) contribs in
-      let divergent vid =
-        match holders vid with
-        | [] | [ _ ] -> false
-        | (_, _, k0) :: rest -> List.exists (fun (_, _, k) -> not (lineage_equal k k0)) rest
-      in
-      let needs_merge =
-        match relevant with
-        | [] -> false
-        (* a single fully-present view held along one lineage needs no
-           merge.  Absent members or divergent holders still get
-           resolved HERE rather than in [shrink_check]: its holders may
-           be recovered or readmitted nodes, and minting from a
-           possibly superseded view locally is unsafe *)
-        | [ v ] -> (not (Node_id.Set.subset (View.members_set v) present)) || divergent v.View.id
-        | _ -> true
-      in
-      if not needs_merge then
-        (* One view, held by all its members along one lineage: nothing
-           diverged, so a latched lineage clears.  Left latched, it
-           reopened this round at every carrier install, forever (e.g. a
-           coordinator that alone moved its view to a fresh carrier). *)
-        match (relevant, lstate_of t lwg) with
-        | [ v ], Some l -> (
-            let held_by_all =
-              Node_id.Set.equal (View.members_set v)
-                (Node_id.Set.of_list (List.map (fun (n, _, _) -> n) (holders v.View.id)))
-            in
-            match l.view with
-            | Some mine when held_by_all && View_id.equal mine.View.id v.View.id -> l.lineage <- L_continuous
-            | Some _ | None -> ())
-        | _, _ -> ()
-      else
-        let members =
-          Node_id.Set.inter
-            (List.fold_left (fun acc v -> Node_id.Set.union acc (View.members_set v)) Node_id.Set.empty relevant)
-            present
-        in
-        match Node_id.Set.elements members with
-        | [] -> ()
-        | coord :: _ as member_list ->
-            if Node_id.Set.mem t.node members then begin
-              match lstate_of t lwg with
-              | Some l ->
-                  let max_seq = List.fold_left (fun acc v -> max acc v.View.id.View_id.seq) 0 relevant in
-                  (* when any contributed view has divergent holders,
-                     leave room below the merged view's seq for their
-                     transitional bridges (per-node installed seqs must
-                     be strictly increasing) *)
-                  let any_divergent = List.exists (fun v -> divergent v.View.id) relevant in
-                  let seq_new = max_seq + if any_divergent then 2 else 1 in
-                  let preds = List.map (fun v -> v.View.id) relevant in
-                  let view =
-                    View.make ~id:{ View_id.coord; seq = seq_new } ~group:lwg ~members:member_list ~preds
-                  in
-                  (match l.view with
-                  | Some mine when List.exists (View_id.equal mine.View.id) preds ->
-                      Logs.debug (fun m -> m "n%d lwg-merge %s on %s" t.node (Gid.to_string lwg) (Gid.to_string hs.hgid));
-                      List.iter (fun vid -> l.ancestors <- View_id.Set.add vid l.ancestors) preds;
-                      t.merges <- t.merges + 1;
-                      Rt.count t.rt "lwg.merges";
-                      Rt.trace t.rt (fun () ->
-                          Plwg_obs.Event.Reconcile_step
-                            { node = t.node; step = Plwg_obs.Event.Merge_views; group = Gid.to_string lwg });
-                      (match
-                         transitional_of ~holders:(holders mine.View.id) ~seq:(max_seq + 1) ~lwg t.node mine
-                       with
-                      | Some tview -> install_lview t l tview
-                      | None -> ());
-                      install_lview t l view;
-                      l.status <- L_normal;
-                      end_lflush t l ~outcome:"superseded";
-                      ns_set_view t l view;
-                      drain_outbox t l
-                  | Some _ | None -> ())
-              | None -> ()
-            end)
-    by_lwg
+  if Node_id.Set.for_all (fun n -> Node_id.Map.mem n hs.all_views) present then begin
+    let by_lwg : (Node_id.t * View.t * lineage) list Itbl.t = Itbl.create () in
+    Node_id.Map.iter
+      (fun from views ->
+        List.iter
+          (fun (lwg, view, lin) ->
+            let key = Gid.code lwg in
+            let known = try Itbl.find by_lwg key with Not_found -> [] in
+            Itbl.replace by_lwg key ((from, view, lin) :: known))
+          views)
+      hs.all_views;
+    Itbl.iter_sorted
+      (fun lwg_code contribs ->
+        match Itbl.find t.lstates lwg_code with
+        | { view = Some mine; _ } as l -> merge_lwg t hs present l mine contribs
+        | { view = None; _ } -> ()
+        | exception Not_found -> ())
+      by_lwg
   end
 
 (* ------------------------------------------------------------------ *)
@@ -760,8 +803,7 @@ let[@transition] shrink_check t (l : lstate) hview ~continuous =
   match (l.status, l.view) with
   | (L_normal | L_stopped), Some view ->
       let present = View.members_set hview in
-      let members = View.members_set view in
-      if not (Node_id.Set.subset members present) then begin
+      if not (all_present present view.View.members) then begin
         if (not (lineage_is_continuous l.lineage)) || not continuous then
           (* A node whose history has a gap — crash recovery, or a
              carrier view that is not the linear successor of the one
@@ -779,13 +821,14 @@ let[@transition] shrink_check t (l : lstate) hview ~continuous =
           (* survivors compute the same shrunken view without messages:
              the HWG flush already synchronised delivery *)
           end_lflush t l ~outcome:"superseded";
-          match Node_id.Set.elements (Node_id.Set.inter members present) with
-          | [] -> ()
-          | coord :: _ as member_list ->
+          let members = Node_id.Set.inter (View.members_set view) present in
+          match Node_id.Set.min_elt_opt members with
+          | None -> ()
+          | Some coord ->
               let view' =
-                View.make
+                View.of_set
                   ~id:{ View_id.coord; seq = view.View.id.View_id.seq + 1 }
-                  ~group:l.lwg ~members:member_list ~preds:[ view.View.id ]
+                  ~group:l.lwg ~members ~preds:[ view.View.id ]
               in
               install_lview t l view';
               l.status <- L_normal;

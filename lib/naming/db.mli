@@ -44,8 +44,19 @@ val test_and_set : t -> entry -> entry list
 
 val merge : t -> t -> bool
 (** [merge t other] folds [other]'s knowledge into [t] (entries and
-    superseded sets); returns [true] if [t] changed.  Used both by
-    anti-entropy gossip and by the partition-heal reconciliation. *)
+    superseded sets).  Used both by anti-entropy gossip and by the
+    partition-heal reconciliation.
+
+    Returns [true] iff some superseded set grew or some LWG's live list
+    differs from before the merge, list order included; the server
+    notifies conflicts on [true].  The lists of an LWG [other] names
+    are compared after all of its entries are inserted, so a merge
+    that reorders a list and restores it reports no change.
+
+    Cost follows what changed: a peer superseded set we already hold
+    costs membership tests, and an entry that already heads its list
+    is left in place.  A merge with no news allocates a constant few
+    words, whatever the size of either database. *)
 
 val conflicting : t -> Gid.t -> bool
 (** True iff the live entries of the LWG name more than one HWG. *)
@@ -59,7 +70,9 @@ val lwgs : t -> Gid.t list
 val is_superseded : t -> lwg:Gid.t -> View_id.t -> bool
 
 val snapshot : t -> t
-(** Deep copy (for shipping in a gossip message). *)
+(** An independent copy in O(1), for shipping in a gossip message: the
+    two persistent maps are shared, and a later [set] or [merge] on
+    either copy leaves the other unchanged. *)
 
 val size : t -> int
 (** Number of live entries across all LWGs. *)

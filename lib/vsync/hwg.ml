@@ -146,12 +146,6 @@ type gstate = {
   mutable want_flush : bool;
   mutable leaving_self : bool;
   mutable change : change option;
-  (* memo of [View.members_set] for the current view, keyed by
-     [View_id.code]: [evaluate] runs per tick per group and per
-     announce, and rebuilding the member set each time dominated its
-     cost.  [-1] = nothing cached. *)
-  mutable members_memo_for : int;
-  mutable members_memo : Node_id.Set.t;
 }
 
 type t = {
@@ -514,19 +508,7 @@ let rec evaluate t g =
   | (Normal | Stopped _) when steady_no_change t g -> ()
   | Normal | Stopped _ ->
       let reachable = Detector.reachable_set t.detector in
-      let current =
-        match g.view with
-        | Some v ->
-            let vid = View_id.code v.View.id in
-            if Int.equal g.members_memo_for vid then g.members_memo
-            else begin
-              let s = View.members_set v in
-              g.members_memo_for <- vid;
-              g.members_memo <- s;
-              s
-            end
-        | None -> Node_id.Set.empty
-      in
+      let current = match g.view with Some v -> View.members_set v | None -> Node_id.Set.empty in
       let candidates =
         Node_id.Set.union current
           (Node_id.Set.union g.joiners (Node_id.Set.union (fresh_foreign t g) g.last_proposal))
@@ -737,7 +719,7 @@ and finalize t g change =
         | None -> acc)
       infos []
   in
-  let view = View.make ~id:view_id ~group:g.group ~members:(Node_id.Set.elements stayers) ~preds in
+  let view = View.of_set ~id:view_id ~group:g.group ~members:stayers ~preds in
   (* virtual synchrony: per predecessor view, all of its members present
      here must deliver the same prefix of every sender's stream *)
   let by_prev = Hashtbl.create 8 in
@@ -1118,8 +1100,6 @@ let join ?(ordering = Fifo) t group =
           want_flush = false;
           leaving_self = false;
           change = None;
-          members_memo_for = -1;
-          members_memo = Node_id.Set.empty;
         }
       in
       Plwg_util.Itbl.replace t.states (Gid.code group) g;

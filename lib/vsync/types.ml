@@ -89,12 +89,20 @@ end
 
 (** An installed view: membership plus lineage.  [preds] lists the view
     ids the merged members came from — the partial order of views the
-    naming service uses to garbage-collect obsolete mappings. *)
+    naming service uses to garbage-collect obsolete mappings.  The
+    member set is built once, with the view: the membership reactions
+    ask for it on every carrier install, per LWG. *)
 module View = struct
-  type t = { id : View_id.t; group : Gid.t; members : Node_id.t list; preds : View_id.t list }
+  type t = {
+    id : View_id.t;
+    group : Gid.t;
+    members : Node_id.t list;
+    preds : View_id.t list;
+    members_set : Node_id.Set.t;
+  }
 
-  let members_set t = Node_id.Set.of_list t.members
-  let mem node t = List.mem node t.members
+  let members_set t = t.members_set
+  let mem node t = Node_id.Set.mem node t.members_set
   let size t = List.length t.members
 
   (** The acting coordinator of an installed view: its smallest member.
@@ -104,7 +112,9 @@ module View = struct
 
   let make ~id ~group ~members ~preds =
     let members = List.sort_uniq Node_id.compare members in
-    { id; group; members; preds }
+    { id; group; members; preds; members_set = Node_id.Set.of_list members }
+
+  let of_set ~id ~group ~members ~preds = { id; group; members = Node_id.Set.elements members; preds; members_set = members }
 
   let pp ppf t =
     Format.fprintf ppf "%a:%a%a" Gid.pp t.group View_id.pp t.id Node_id.pp_list t.members

@@ -54,11 +54,22 @@ module View_id : sig
 end
 
 (** An installed view: membership plus lineage.  [preds] lists the view
-    ids the merged members came from. *)
+    ids the merged members came from.  The type is private so that every
+    view comes from {!make} or {!of_set}, which store the member set
+    alongside the sorted member list. *)
 module View : sig
-  type t = { id : View_id.t; group : Gid.t; members : Node_id.t list; preds : View_id.t list }
+  type t = private {
+    id : View_id.t;
+    group : Gid.t;
+    members : Node_id.t list;  (** ascending, no duplicates *)
+    preds : View_id.t list;
+    members_set : Node_id.Set.t;  (** the same members, built once with the view *)
+  }
 
   val members_set : t -> Node_id.Set.t
+  (** The stored set: repeated calls return the same physical set and
+      allocate nothing. *)
+
   val mem : Node_id.t -> t -> bool
   val size : t -> int
 
@@ -67,6 +78,12 @@ module View : sig
   val coordinator : t -> Node_id.t
 
   val make : id:View_id.t -> group:Gid.t -> members:Node_id.t list -> preds:View_id.t list -> t
+  (** Sorts and deduplicates [members] and builds their set. *)
+
+  val of_set : id:View_id.t -> group:Gid.t -> members:Node_id.Set.t -> preds:View_id.t list -> t
+  (** {!make} from a member set the caller already holds: the set is
+      stored as it is and only the list is built. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

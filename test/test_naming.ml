@@ -342,6 +342,163 @@ let test_gc_propagates_to_replicas () =
       | other -> Alcotest.failf "expected 1 live entry, got %d" (List.length other))
     f.servers
 
+(* ---------------- merge cost and its [changed] contract ---------------- *)
+
+(* A test-local model of [Db.merge] as a whole-state comparison: union
+   every superseded set, drop what died, insert every peer entry, then
+   report whether any live list (order included) or superseded set
+   differs from before.  [Db.merge] tracks the change instead; the two
+   must agree on the result and on the returned bool. *)
+module Model = struct
+  module M = Map.Make (Int)
+
+  type t = { mutable entries : Db.entry list M.t; mutable superseded : View_id.Set.t M.t }
+
+  let create () = { entries = M.empty; superseded = M.empty }
+  let copy m = { entries = m.entries; superseded = m.superseded }
+  let dead m code = Option.value (M.find_opt code m.superseded) ~default:View_id.Set.empty
+  let live m code = Option.value (M.find_opt code m.entries) ~default:[]
+
+  let drop_dead m code =
+    let dead = dead m code in
+    m.entries <- M.update code (Option.map (List.filter (fun e -> not (View_id.Set.mem e.Db.lwg_view dead)))) m.entries
+
+  let order (a : Db.entry) (b : Db.entry) =
+    let c = Gid.compare a.hwg b.hwg in
+    if c <> 0 then c
+    else
+      let c = Option.compare View_id.compare a.hwg_view b.hwg_view in
+      if c <> 0 then c else List.compare Node_id.compare a.members b.members
+
+  let insert ~resolve m (e : Db.entry) =
+    let code = Gid.code e.lwg in
+    if not (View_id.Set.mem e.lwg_view (dead m code)) then begin
+      let current = live m code in
+      let e =
+        match List.find_opt (fun x -> View_id.equal x.Db.lwg_view e.lwg_view) current with
+        | Some existing when resolve && order existing e > 0 -> existing
+        | Some _ | None -> e
+      in
+      m.entries <- M.add code (e :: List.filter (fun x -> not (View_id.equal x.Db.lwg_view e.lwg_view)) current) m.entries
+    end
+
+  let set m (e : Db.entry) =
+    let code = Gid.code e.lwg in
+    if not (List.is_empty e.preds) then begin
+      m.superseded <- M.add code (View_id.Set.union (dead m code) (View_id.Set.of_list e.preds)) m.superseded;
+      drop_dead m code
+    end;
+    insert ~resolve:false m e
+
+  let entry_equal (a : Db.entry) (b : Db.entry) =
+    Gid.equal a.lwg b.lwg && View_id.equal a.lwg_view b.lwg_view
+    && List.equal Node_id.equal a.members b.members
+    && Gid.equal a.hwg b.hwg
+    && Option.equal View_id.equal a.hwg_view b.hwg_view
+    && List.equal View_id.equal a.preds b.preds
+
+  let merge m other =
+    let before_entries = m.entries and before_superseded = m.superseded in
+    m.superseded <- M.union (fun _ a b -> Some (View_id.Set.union a b)) m.superseded other.superseded;
+    M.iter (fun code _ -> drop_dead m code) other.superseded;
+    M.iter (fun _ es -> List.iter (insert ~resolve:true m) es) other.entries;
+    not (M.equal (List.equal entry_equal) before_entries m.entries)
+    || not (M.equal View_id.Set.equal before_superseded m.superseded)
+end
+
+(* Two LWGs, four coordinators, short view chains and same-view
+   remappings: live lists of 2-3 concurrent entries, reordered by
+   merges, are the common case. *)
+let concurrent_entry =
+  QCheck.Gen.(
+    let* lwg_seq = int_range 1 2 in
+    let* coord = int_range 0 3 in
+    let* seq = int_range 1 4 in
+    let* hwg_seq = int_range 10 11 in
+    let* members = oneofl [ [ 0; 1 ]; [ 0; 1; 2 ]; [ 2; 3 ] ] in
+    let* pred = frequency [ (4, return []); (1, map (fun c -> [ vid c (seq - 1) ]) (int_range 0 3)) ] in
+    return (entry ~lwg:(gid lwg_seq 0) ~lwg_view:(vid coord seq) ~hwg:(gid hwg_seq 0) ~members ~preds:pred ()))
+
+let prop_db_merge_changed_contract =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun e -> `Set e) concurrent_entry);
+          (2, map (fun es -> `Merge es) (list_size (int_range 0 5) concurrent_entry));
+          (* a peer that shares our history and adds a little (gossip) *)
+          (2, map (fun es -> `Merge_grown es) (list_size (int_range 0 2) concurrent_entry));
+        ])
+  in
+  QCheck.Test.make ~name:"naming db: merge reports exactly a changed live list or superseded set" ~count:400
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 20) op))
+    (fun ops ->
+      let db = Db.create () and model = Model.create () in
+      let views = List.concat_map (fun c -> List.init 5 (fun s -> vid c s)) [ 0; 1; 2; 3 ] in
+      let agree () =
+        List.for_all
+          (fun lwg ->
+            let sorted es = List.sort (fun a b -> View_id.compare a.Db.lwg_view b.Db.lwg_view) es in
+            List.equal Model.entry_equal (Db.read db lwg) (sorted (Model.live model (Gid.code lwg)))
+            && List.for_all
+                 (fun v ->
+                   Bool.equal (Db.is_superseded db ~lwg v) (View_id.Set.mem v (Model.dead model (Gid.code lwg))))
+                 views)
+          [ gid 1 0; gid 2 0 ]
+      in
+      let merged peer peer_model = Bool.equal (Db.merge db peer) (Model.merge model peer_model) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | `Set e ->
+                Db.set db e;
+                Model.set model e;
+                true
+            | `Merge es ->
+                let peer_model = Model.create () in
+                List.iter (Model.set peer_model) es;
+                merged (db_of es) peer_model
+            | `Merge_grown es ->
+                let peer = Db.snapshot db and peer_model = Model.copy model in
+                List.iter (Db.set peer) es;
+                List.iter (Model.set peer_model) es;
+                merged peer peer_model
+          in
+          ok && agree ())
+        ops)
+
+(* [n] LWGs, each with one live entry at the end of a chain of 8
+   retired views. *)
+let history_db n =
+  let db = Db.create () in
+  for i = 0 to n - 1 do
+    for s = 1 to 9 do
+      Db.set db (entry ~lwg:(gid (100 + i) 0) ~lwg_view:(vid 0 s) ~hwg:hwg_1 ~preds:(if s > 1 then [ vid 0 (s - 1) ] else []) ())
+    done
+  done;
+  db
+
+let merge_words db peer =
+  let before = Gc.minor_words () in
+  let changed = Db.merge db peer in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "no news, no change" false changed;
+  words
+
+(* A gossip receipt with no news costs a few words however large the
+   database is: nothing is rebuilt, compared wholesale or re-inserted. *)
+let test_db_merge_no_news_allocation_gate () =
+  let gate n =
+    let db = history_db n in
+    let shared = merge_words db (Db.snapshot db) and rebuilt = merge_words db (history_db n) in
+    Alcotest.(check bool) (Printf.sprintf "%d LWGs: %.0f words (snapshot peer) <= 32" n shared) true (shared <= 32.);
+    Alcotest.(check bool) (Printf.sprintf "%d LWGs: %.0f words (rebuilt peer) <= 32" n rebuilt) true (rebuilt <= 32.);
+    (shared, rebuilt)
+  in
+  let small = gate 64 and large = gate 256 in
+  Alcotest.(check (pair (float 0.) (float 0.))) "cost independent of the database size" small large
+
 let suite =
   [
     Alcotest.test_case "db set/read" `Quick test_db_set_read;
@@ -363,4 +520,6 @@ let suite =
     Alcotest.test_case "client gives up with explicit failure" `Quick test_client_gives_up_with_explicit_failure;
     Alcotest.test_case "multiple-mappings callback on heal" `Quick test_multiple_mappings_callback_on_heal;
     Alcotest.test_case "gc propagates to replicas" `Quick test_gc_propagates_to_replicas;
+    QCheck_alcotest.to_alcotest prop_db_merge_changed_contract;
+    Alcotest.test_case "db merge with no news: allocation gate" `Quick test_db_merge_no_news_allocation_gate;
   ]

@@ -720,6 +720,23 @@ let test_steady_state_traced_twin () =
   Alcotest.(check bool) "deliveries happened" true (!delivered > 1_000);
   Alcotest.(check int) "one Group_delivered per delivery" !delivered events
 
+(* A view carries its member set: built once by [View.make] (or taken
+   from [View.of_set]), then returned as the same physical set. *)
+let test_view_stores_member_set () =
+  let view = View.make ~id:{ View_id.coord = 1; seq = 3 } ~group:{ Gid.seq = 1; origin = 0 } ~members:[ 3; 1; 3; 2 ] ~preds:[] in
+  Alcotest.(check (list int)) "members sorted and unique" [ 1; 2; 3 ] view.View.members;
+  Alcotest.(check (list int)) "set holds the same members" [ 1; 2; 3 ] (Node_id.Set.elements (View.members_set view));
+  Alcotest.(check bool) "repeated calls share one set" true (View.members_set view == View.members_set view);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (View.members_set view))
+  done;
+  Alcotest.(check (float 0.)) "1,000 calls allocate 0 minor words" 0. (Gc.minor_words () -. before);
+  let set = Node_id.Set.of_list [ 5; 4 ] in
+  let from_set = View.of_set ~id:{ View_id.coord = 4; seq = 1 } ~group:{ Gid.seq = 1; origin = 0 } ~members:set ~preds:[] in
+  Alcotest.(check (list int)) "of_set lists the set" [ 4; 5 ] from_set.View.members;
+  Alcotest.(check bool) "of_set keeps the set" true (View.members_set from_set == set)
+
 let suite =
   [
     Alcotest.test_case "steady-state allocation gate" `Quick test_steady_state_alloc_gate;
@@ -755,4 +772,5 @@ let suite =
     Alcotest.test_case "causal survives partition+merge" `Quick test_causal_survives_partition_merge;
     Alcotest.test_case "stress invariants" `Slow test_stress_invariants;
     QCheck_alcotest.to_alcotest prop_stress;
+    Alcotest.test_case "view stores its member set" `Quick test_view_stores_member_set;
   ]
