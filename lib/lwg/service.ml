@@ -63,7 +63,7 @@ type lstate = {
   mutable hwg : Gid.t option;
   mutable status : lstatus;
   mutable view : View.t option;
-  mutable ancestors : View_id.Set.t;
+  ancestors : unit Itbl.t; (* View_id.code of every view installed over or merged away *)
   mutable provisional : View_id.t option;
   mutable next_seq : int;
   mutable total_sent : int; (* monotone across views: delivery-invariant tag *)
@@ -321,26 +321,30 @@ let lseq_floor_of t lwg = try Itbl.find t.lseq_floor (Gid.code lwg) with Not_fou
 let[@transition] install_lview t (l : lstate) view =
   note_lseq t l.lwg view.View.id.View_id.seq;
   l.lineage <- L_continuous;
-  (match l.view with Some old -> l.ancestors <- View_id.Set.add old.View.id l.ancestors | None -> ());
+  (match l.view with Some old -> Itbl.replace l.ancestors (View_id.code old.View.id) () | None -> ());
   l.view <- Some view;
   l.next_seq <- 0;
   Array.fill l.delivered 0 (Array.length l.delivered) 0;
   l.pend_cur <- [];
   Rt.count t.rt "lwg.views_installed";
-  Rt.trace t.rt (fun () ->
-      Plwg_obs.Event.View_installed
-        { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
-          view_coord = view.View.id.View_id.coord; members = view.View.members });
+  if t.tracing then
+    Rt.trace t.rt (fun () ->
+        Plwg_obs.Event.View_installed
+          { layer = Lwg; node = t.node; group = Gid.to_string l.lwg; view_seq = view.View.id.View_id.seq;
+            view_coord = view.View.id.View_id.coord; members = view.View.members });
   t.callbacks.on_view l.lwg view;
   (* feed traffic that raced ahead of the install; entries for views
      that meanwhile became ancestors can never be replayed — drop them *)
-  let early, rest = List.partition (fun (vid, _) -> View_id.equal vid view.View.id) l.pend_new in
-  l.pend_new <- List.filter (fun (vid, _) -> not (View_id.Set.mem vid l.ancestors)) rest;
-  let early = List.sort (fun (_, (_, a, _, _, _)) (_, (_, b, _, _, _)) -> Int.compare a b) early in
-  List.iter
-    (fun (_, (src, seq, local, vc, body)) ->
-      if seq >= delivered_count l src then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
-    early;
+  (match l.pend_new with
+  | [] -> ()
+  | pend_new ->
+      let early, rest = List.partition (fun (vid, _) -> View_id.equal vid view.View.id) pend_new in
+      l.pend_new <- List.filter (fun (vid, _) -> not (Itbl.mem l.ancestors (View_id.code vid))) rest;
+      let early = List.sort (fun (_, (_, a, _, _, _)) (_, (_, b, _, _, _)) -> Int.compare a b) early in
+      List.iter
+        (fun (_, (src, seq, local, vc, body)) ->
+          if seq >= delivered_count l src then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
+        early);
   drain_pend_cur t l
 
 (* Close an open LWG flush, pairing its Flush_begin with a Flush_end
@@ -570,7 +574,7 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
       | _ when draining_into l lview ->
           (l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new)
           [@alloc_ok "ahead of the install this node is draining into"]
-      | Some _ when View_id.Set.mem lview l.ancestors -> () (* stale: already cut *)
+      | Some _ when Itbl.mem l.ancestors (View_id.code lview) -> () (* stale: already cut *)
       | Some _ ->
           (* a concurrent view of my LWG shares this HWG: local peer
              discovery (Section 6.3) -> merge-views (Figure 5).  The
@@ -742,7 +746,7 @@ let[@transition] merge_lwg t hs present (l : lstate) (mine : View.t) contribs =
           Logs.debug (fun m -> m "n%d lwg-merge %s on %s" t.node (Gid.to_string lwg) (Gid.to_string hs.hgid));
           (* [mine] becomes an ancestor at the install below *)
           List.iter
-            (fun vid -> if not (View_id.equal vid mine.View.id) then l.ancestors <- View_id.Set.add vid l.ancestors)
+            (fun vid -> if not (View_id.equal vid mine.View.id) then Itbl.replace l.ancestors (View_id.code vid) ())
             preds;
           t.merges <- t.merges + 1;
           Rt.count t.rt "lwg.merges";
@@ -1015,7 +1019,7 @@ let handle_gossip t ~carrier ~views =
           | Some mine, Some h
             when Gid.equal h carrier
                  && (not (View_id.equal mine.View.id gossiped.View.id))
-                 && (not (View_id.Set.mem gossiped.View.id l.ancestors))
+                 && (not (Itbl.mem l.ancestors (View_id.code gossiped.View.id)))
                  && not (List.exists (View_id.equal gossiped.View.id) mine.View.preds) ->
               request_merge t carrier
           | _, _ -> ())
@@ -1325,7 +1329,7 @@ let join ?(ordering = Fifo) t lwg =
               hwg = None;
               status = Resolving { r_since = Rt.now t.rt };
               view = None;
-              ancestors = View_id.Set.empty;
+              ancestors = Itbl.create ();
               provisional = None;
               next_seq = 0;
               total_sent = 0;
