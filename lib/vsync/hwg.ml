@@ -8,6 +8,10 @@ module Deque = Plwg_util.Deque
 (* coordinator view-announce gossip interval *)
 let announce_period = Time.ms 250
 
+(* announce rounds a kick keeps the coordinator announcing, and the
+   backstop period of a quiet coordinator (see [announce]) *)
+let quiet_rounds = 8
+
 (* local re-evaluation interval *)
 let tick_period = Time.ms 150
 
@@ -146,6 +150,11 @@ type gstate = {
   mutable want_flush : bool;
   mutable leaving_self : bool;
   mutable change : change option;
+  (* Quiet announces (see [announce]). *)
+  mutable announce_round : int; (* rounds of the announce loop so far *)
+  mutable loud_until : int; (* rounds below this announce: the last kick's window *)
+  mutable former : Node_id.Set.t; (* dropped involuntarily from a view held here, not back since *)
+  mutable announce_own : bool; (* a non-coordinator announces at the next round (see [handle_view_announce]) *)
 }
 
 type t = {
@@ -403,8 +412,25 @@ let note_seq t group seq =
 
 let seq_floor_of t group = try Plwg_util.Itbl.find t.seq_floor (Gid.code group) with Not_found -> 0
 
+(* Open a window of [quiet_rounds] announce rounds in which a quiet
+   coordinator announces its view anyway: something happened that may
+   have left a concurrent view of the group within earshot. *)
+let kick g = g.loud_until <- g.announce_round + quiet_rounds
+
 let reset_for_view t g view =
   note_seq t g.group view.View.id.View_id.seq;
+  (* Members of the old view missing from the accepted proposal were
+     cut as unreachable and may be holding a concurrent view; proposal
+     members missing from the new view flushed as leavers and are not
+     waited for. *)
+  let cut =
+    match g.view with
+    | Some old -> Node_id.Set.diff (View.members_set old) g.last_proposal
+    | None -> Node_id.Set.empty
+  in
+  g.former <- Node_id.Set.diff (Node_id.Set.union g.former cut) (View.members_set view);
+  g.announce_own <- false;
+  kick g;
   g.view <- Some view;
   g.status <- Normal;
   g.next_seq <- 0;
@@ -856,6 +882,7 @@ and handle_join_announce t ~group ~joiner =
   match lookup_exn t group with
   | exception Not_found -> ()
   | g ->
+      kick g;
       if Option.is_some g.view && not (Node_id.Set.mem joiner g.joiners) then begin
         (match g.view with
         | Some v when View.mem joiner v -> () (* already in *)
@@ -879,14 +906,28 @@ and handle_view_announce t ~group ~view_id ~members =
               (* concurrent view of my group: remember its members so the
                  evaluation merges us *)
               add_foreign t g members;
+              kick g;
               (* Only coordinators announce, so if my own coordinator has
                  moved to a concurrent view that excludes me it will keep
                  announcing a view I am not in while nothing ever
                  advertises mine: an excluded member would sit in its
-                 stale view forever.  Announce my view myself so the
-                 other side's evaluation merges me back. *)
-              if (not (List.mem t.node members)) && List.mem (View.coordinator view) members then
-                broadcast t (Hw_view_announce { group = g.group; view_id = view.View.id; members = view.View.members });
+                 stale view forever.  Announce my view myself, at the
+                 next announce round, so the other side's evaluation
+                 merges me back.  Not at once: the other side's members
+                 answer my announce in kind, and with my coordinator in
+                 both views each reply would trigger more.
+                 Members of my view that installed a view without me,
+                 not my predecessor, left my view stale for them while
+                 its membership still lists them: a change request from
+                 them changes nothing here, so only a flush can merge
+                 the two. *)
+              if not (List.mem t.node members) then begin
+                if List.mem (View.coordinator view) members then g.announce_own <- true;
+                if
+                  List.exists (fun m -> View.mem m view) members
+                  && not (List.exists (View_id.equal view_id) view.View.preds)
+                then g.want_flush <- true
+              end;
               evaluate t g
           | Some _ -> ()
           | None -> add_foreign t g members))
@@ -1012,10 +1053,35 @@ let install_singleton t g =
   reset_for_view t g view;
   after_install_resume t g
 
+(* Quiet announces, after Trickle (Levis et al., NSDI 2004): a concurrent
+   view of the group can only surface after an install, a heal or a
+   join, so the coordinator broadcasts its view only in the
+   [quiet_rounds] rounds after a kick (an install here, a peer turning
+   [Reachable], a join announce or a concurrent view announce heard),
+   while a former member, a joiner or a foreign sighting is pending, and
+   on every [quiet_rounds]-th round as a backstop for lost announces and
+   for lineages that never met.  The loop itself keeps its period and
+   phase.  A non-coordinator announces only when [announce_own] asks. *)
 let announce t g =
+  let round = g.announce_round in
+  g.announce_round <- round + 1;
   match (g.status, g.view) with
-  | (Normal | Stopped _), Some view when Node_id.equal (View.coordinator view) t.node ->
-      broadcast t (Hw_view_announce { group = g.group; view_id = view.View.id; members = view.View.members })
+  | (Normal | Stopped _), Some view ->
+      let coordinator = Node_id.equal (View.coordinator view) t.node in
+      if
+        g.announce_own
+        || coordinator
+           && (round < g.loud_until
+              || round mod quiet_rounds = 0
+              || (not (Node_id.Set.is_empty g.former))
+              || (not (Node_id.Set.is_empty g.joiners))
+              || not (List.is_empty g.foreign))
+      then begin
+        g.announce_own <- false;
+        Rt.count t.rt "hwg.announces_sent";
+        broadcast t (Hw_view_announce { group = g.group; view_id = view.View.id; members = view.View.members })
+      end
+      else if coordinator then Rt.count t.rt "hwg.announces_quiet"
   | _, _ -> ()
 
 let tick t g =
@@ -1100,6 +1166,10 @@ let join ?(ordering = Fifo) t group =
           want_flush = false;
           leaving_self = false;
           change = None;
+          announce_round = 0;
+          loud_until = 0;
+          former = Node_id.Set.empty;
+          announce_own = false;
         }
       in
       Plwg_util.Itbl.replace t.states (Gid.code group) g;
@@ -1204,8 +1274,12 @@ let create ~transport ~detector callbacks node =
       | Hw_stable { group; view_id; from; delivered } -> handle_stable t ~group ~view_id ~from ~delivered
       | Hw_vacant -> ()
       | _ -> ());
-  Detector.on_change detector (fun _peer _status ->
-      Plwg_util.Itbl.iter_sorted (fun _ g -> evaluate t g) t.states);
+  Detector.on_change detector (fun _peer status ->
+      Plwg_util.Itbl.iter_sorted
+        (fun _ g ->
+          (match status with Detector.Reachable -> kick g | Detector.Unreachable -> ());
+          evaluate t g)
+        t.states);
   (* Timers pending when this node crashed were silently skipped, so an
      in-flight change may have lost its deadline timer.  On recovery,
      close it (pairing its Flush_begin) and re-evaluate every group so

@@ -25,8 +25,12 @@
     reachable candidate runs an epoch-stamped stop / flush / install
     round, waiting 600 ms for FLUSHED replies.  Peer discovery (for
     joins and for partition healing) rides on best-effort
-    [VIEW-ANNOUNCE] broadcasts every 250 ms, mirroring IP multicast on a
-    LAN; a joiner that hears nothing for 500 ms forms a singleton view.
+    [VIEW-ANNOUNCE] broadcasts, mirroring IP multicast on a LAN: a
+    coordinator announces every 250 ms for 2 s after an install, a peer
+    turning reachable or a join or concurrent view heard, and while a
+    member it lost involuntarily, a joiner or a foreign sighting is
+    pending; otherwise only every 2 s.  A joiner that hears nothing for
+    500 ms forms a singleton view.
     Members exchange delivery vectors every 500 ms and prune stable
     messages from the retransmission store. *)
 

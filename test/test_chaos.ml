@@ -198,6 +198,16 @@ let test_oracle_fails_truncated_trace () =
     [ Printf.sprintf "trace: trace truncated: %d entries dropped" dropped ]
     (Chaos.oracle stack ~lwgs:[ lwg ])
 
+(* Three crashes on the static carrier left a recovered member in a
+   stale view whose coordinator had moved on.  The stale member
+   announced its view at every announce it heard from the other view,
+   whose members answered in kind: with the coordinator in both views
+   each announce begot three more, the receive queues grew without
+   bound and no flush could finish.  Fixed by deferring such an
+   announce to the member's next announce round. *)
+let repro_announce_storm =
+  {|{"schema":"plwg-chaos-repro/1","seed":7924,"mode":"static","profile":"heavy","script":[{"at_us":14000000,"step":"crash","node":3},{"at_us":24000000,"step":"crash","node":4},{"at_us":39000000,"step":"crash","node":5}],"tail":[{"at_us":40000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":40100000,"step":"recover","node":0},{"at_us":40200000,"step":"recover","node":1},{"at_us":40300000,"step":"recover","node":2},{"at_us":40400000,"step":"recover","node":3},{"at_us":40500000,"step":"recover","node":4},{"at_us":40600000,"step":"recover","node":5},{"at_us":40800000,"step":"heal"}]}|}
+
 let suite =
   [
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
@@ -211,4 +221,5 @@ let suite =
     Alcotest.test_case "replay: sustained loss burst" `Quick (replay "loss burst" repro_loss_burst);
     Alcotest.test_case "heavy seed 118788 converges deterministically" `Slow test_heavy_118788_converges;
     Alcotest.test_case "oracle fails a truncated trace" `Quick test_oracle_fails_truncated_trace;
+    Alcotest.test_case "replay: announce storm" `Quick (replay "announce storm" repro_announce_storm);
   ]

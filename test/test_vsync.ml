@@ -737,6 +737,173 @@ let test_view_stores_member_set () =
   Alcotest.(check (list int)) "of_set lists the set" [ 4; 5 ] from_set.View.members;
   Alcotest.(check bool) "of_set keeps the set" true (View.members_set from_set == set)
 
+(* ------------------------------------------------------------------ *)
+(* Quiet view announces                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A runtime over the sim that counts the view announces the HWG layer
+   broadcasts and, while [lose] is set, drops every one of them. *)
+module Announce_tap = struct
+  module R = Plwg_runtime.Rt
+
+  type t = { inner : R.t; mutable lose : bool; mutable sent : int }
+
+  let is_announce payload = String.starts_with ~prefix:"hw-announce(" (Payload.to_string payload)
+  let now t = R.now t.inner
+  let n_nodes t = R.n_nodes t.inner
+  let nodes t = R.nodes t.inner
+  let is_alive t node = R.is_alive t.inner node
+  let subscribe t node handler = R.subscribe t.inner node handler
+  let send t ~src ~dst payload = R.send t.inner ~src ~dst payload
+
+  let multicast t ~src ~dsts payload =
+    if is_announce payload then begin
+      t.sent <- t.sent + 1;
+      if not t.lose then R.multicast t.inner ~src ~dsts payload
+    end
+    else R.multicast t.inner ~src ~dsts payload
+
+  let after_node t node span action = R.after_node t.inner node span action
+  let after_node_ t node span action = R.after_node_ t.inner node span action
+  let at_node_ t node span action = R.at_node_ t.inner node span action
+  let on_recover t node hook = R.on_recover t.inner node hook
+  let rng_node t node = R.rng_node t.inner node
+  let trace t make = R.trace t.inner make
+  let count ?by t name = R.count ?by t.inner name
+  let observe t name v = R.observe t.inner name v
+end
+
+(* [n] HWG nodes on the sim, wired over an {!Announce_tap}. *)
+let tap_stack ?partition n =
+  let obs = Plwg_obs.create () in
+  let engine = Sim_rt.create ~obs ~model:Model.default ~seed:5 ~n_nodes:n () in
+  Option.iter (Sim_rt.set_partition engine) partition;
+  let tap = { Announce_tap.inner = Sim_rt.rt engine; lose = false; sent = 0 } in
+  let rt = Plwg_runtime.Rt.Rt ((module Announce_tap), tap) in
+  let transport = Plwg_transport.Transport.create rt in
+  let detectors = Array.init n (fun node -> Plwg_detector.Detector.create transport node) in
+  let hwgs = Array.init n (fun node -> Hwg.create ~transport ~detector:detectors.(node) Hwg.no_callbacks node) in
+  (engine, obs, tap, hwgs)
+
+let members_at hwgs group node =
+  match Hwg.view_of hwgs.(node) group with Some v -> v.View.members | None -> []
+
+(* Announces sent over [span] of simulated time. *)
+let announces_over engine tap span =
+  let before = tap.Announce_tap.sent in
+  Sim_rt.run_span engine span;
+  tap.Announce_tap.sent - before
+
+(* A stable group's coordinator announces only on the backstop rounds
+   once the hold after its install has passed: 20 s / 2 s = 10
+   announces, where one every 250 ms would be 80. *)
+let test_quiet_announce_rate () =
+  let engine, obs, tap, hwgs = tap_stack 4 in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 3);
+  Array.iteri
+    (fun node _ -> Alcotest.(check (list int)) "four-member view" [ 0; 1; 2; 3 ] (members_at hwgs group node))
+    hwgs;
+  Sim_rt.run_span engine (Time.sec 3);
+  let sent = announces_over engine tap (Time.sec 20) in
+  if sent > 16 then Alcotest.failf "%d view announces in 20 s of a stable group > 16" sent;
+  let counter name = Plwg_obs.Metrics.counter obs.Plwg_obs.metrics name in
+  Alcotest.(check int) "hwg.announces_sent counts every announce" tap.Announce_tap.sent (counter "hwg.announces_sent");
+  Alcotest.(check bool) "quiet rounds are counted" true (counter "hwg.announces_quiet" > 0)
+
+let check_merged hwgs group what =
+  Array.iteri
+    (fun node _ ->
+      Alcotest.(check (list int)) (Printf.sprintf "%s: node %d merged" what node) [ 0; 1; 2; 3 ]
+        (members_at hwgs group node))
+    hwgs
+
+(* Each side of a partition holds its view long past the hold window;
+   a heal must still merge them within 1 s, cycle after cycle.  The
+   holds differ by 700 ms, so the heals fall at different phases of the
+   2 s backstop.  The first heal joins two lineages that never met, so
+   no former member is pending there: the peers turning [Reachable]
+   alone must wake the coordinators. *)
+let test_quiet_then_heal () =
+  let engine, _, _, hwgs = tap_stack ~partition:[ [ 0; 1 ]; [ 2; 3 ] ] 4 in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 5);
+  Alcotest.(check (list int)) "never met: side A" [ 0; 1 ] (members_at hwgs group 0);
+  Sim_rt.heal engine;
+  Sim_rt.run_span engine (Time.sec 1);
+  check_merged hwgs group "never met, 1 s after the heal";
+  Sim_rt.run_span engine (Time.sec 3);
+  for cycle = 1 to 4 do
+    Sim_rt.set_partition engine [ [ 0; 1 ]; [ 2; 3 ] ];
+    Sim_rt.run_span engine (Time.ms (2_500 + (700 * cycle)));
+    Alcotest.(check (list int)) (Printf.sprintf "cycle %d: side A" cycle) [ 0; 1 ] (members_at hwgs group 0);
+    Alcotest.(check (list int)) (Printf.sprintf "cycle %d: side B" cycle) [ 2; 3 ] (members_at hwgs group 2);
+    Sim_rt.heal engine;
+    Sim_rt.run_span engine (Time.sec 1);
+    check_merged hwgs group (Printf.sprintf "cycle %d, 1 s after the heal" cycle);
+    Sim_rt.run_span engine (Time.sec 3)
+  done
+
+(* A side that lost members to a partition keeps announcing until they
+   are back, even when every announce of the window the heal opens is
+   lost: the merge follows within 1 s of the announces getting through
+   again, not at the next backstop round. *)
+let test_former_members_keep_announcing () =
+  let engine, _, tap, hwgs = tap_stack 4 in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 4);
+  for cycle = 1 to 4 do
+    Sim_rt.set_partition engine [ [ 0; 1 ]; [ 2; 3 ] ];
+    Sim_rt.run_span engine (Time.ms (2_500 + (700 * cycle)));
+    tap.Announce_tap.lose <- true;
+    Sim_rt.heal engine;
+    Sim_rt.run_span engine (Time.ms 2_500);
+    Alcotest.(check (list int)) (Printf.sprintf "cycle %d: lost announces, still apart" cycle) [ 0; 1 ]
+      (members_at hwgs group 0);
+    tap.Announce_tap.lose <- false;
+    Sim_rt.run_span engine (Time.sec 1);
+    check_merged hwgs group (Printf.sprintf "cycle %d, 1 s after the announces return" cycle);
+    Sim_rt.run_span engine (Time.sec 3)
+  done
+
+(* Two lineages that never met (the group formed on each side of a
+   partition): no member of either is a former member of the other, and
+   every announce of the hold window after the heal is lost.  The
+   backstop round alone must merge them. *)
+let test_backstop_merges_lost_announces () =
+  let engine, _, tap, hwgs = tap_stack ~partition:[ [ 0; 1 ]; [ 2; 3 ] ] 4 in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 5);
+  Alcotest.(check (list int)) "side A" [ 0; 1 ] (members_at hwgs group 0);
+  Alcotest.(check (list int)) "side B" [ 2; 3 ] (members_at hwgs group 2);
+  tap.Announce_tap.lose <- true;
+  Sim_rt.heal engine;
+  Sim_rt.run_span engine (Time.ms 2_500);
+  Alcotest.(check (list int)) "lost announces: still apart" [ 0; 1 ] (members_at hwgs group 0);
+  tap.Announce_tap.lose <- false;
+  Sim_rt.run_span engine (Time.ms 2_500);
+  check_merged hwgs group "2.5 s after the announces return"
+
+(* Members that leave on their own are not waited for: after a member
+   and then the coordinator leave, the remaining group goes quiet. *)
+let test_voluntary_leave_stays_quiet () =
+  let engine, _, tap, hwgs = tap_stack 4 in
+  let group = gid 0 in
+  Array.iter (fun h -> Hwg.join h group) hwgs;
+  Sim_rt.run_span engine (Time.sec 3);
+  Hwg.leave hwgs.(2) group;
+  Sim_rt.run_span engine (Time.sec 2);
+  Hwg.leave hwgs.(0) group;
+  Sim_rt.run_span engine (Time.sec 2);
+  Alcotest.(check (list int)) "survivors" [ 1; 3 ] (members_at hwgs group 1);
+  Sim_rt.run_span engine (Time.sec 3);
+  let sent = announces_over engine tap (Time.sec 20) in
+  if sent > 16 then Alcotest.failf "%d view announces in 20 s after voluntary leaves > 16" sent
+
 let suite =
   [
     Alcotest.test_case "steady-state allocation gate" `Quick test_steady_state_alloc_gate;
@@ -773,4 +940,9 @@ let suite =
     Alcotest.test_case "stress invariants" `Slow test_stress_invariants;
     QCheck_alcotest.to_alcotest prop_stress;
     Alcotest.test_case "view stores its member set" `Quick test_view_stores_member_set;
+    Alcotest.test_case "quiet announces: stable group rate" `Quick test_quiet_announce_rate;
+    Alcotest.test_case "quiet announces: heal merges within 1 s" `Quick test_quiet_then_heal;
+    Alcotest.test_case "quiet announces: backstop merges lost announces" `Quick test_backstop_merges_lost_announces;
+    Alcotest.test_case "quiet announces: voluntary leave stays quiet" `Quick test_voluntary_leave_stays_quiet;
+    Alcotest.test_case "quiet announces: former members keep announcing" `Quick test_former_members_keep_announcing;
   ]
