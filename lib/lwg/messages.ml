@@ -9,15 +9,16 @@ open Plwg_vsync.Types
     holders of the same LWG view id are guaranteed to have delivered
     the same messages in it only if their carrier histories since its
     install are equivalent: either both stayed on the mainline, or
-    both were cut off together (same side branch, readmitted by the
-    same carrier merge).  Structural equality of this tag encodes that
-    equivalence; holders with different tags must not share the
-    transition into a merged view. *)
+    both went through the same carrier discontinuities.  Equality of
+    this tag encodes that equivalence; holders with different tags
+    must not share the transition into a merged view. *)
 type lineage =
   | L_continuous  (** carrier history linear since the view was installed *)
-  | L_cut of { at : View_id.t; from : View_id.t }
-      (** first discontinuity: readmitted at carrier view [at] while
-          still holding carrier view [from] of a superseded branch *)
+  | L_cut of { at : View_id.t; from : View_id.t; before : lineage }
+      (** latest discontinuity, at carrier view [at] entered from
+          [from]: readmitted from a superseded branch, or left behind
+          by a merge round that moved the view's other holders on;
+          [before] is the lineage up to it *)
   | L_rejoined of Node_id.t
       (** crash recovery: a history no other node can share *)
 [@@message_family]
@@ -27,10 +28,10 @@ type lineage =
 
 let lineage_is_continuous = function L_continuous -> true | L_cut _ | L_rejoined _ -> false
 
-let lineage_equal a b =
+let rec lineage_equal a b =
   match (a, b) with
   | L_continuous, L_continuous -> true
-  | L_cut a, L_cut b -> View_id.equal a.at b.at && View_id.equal a.from b.from
+  | L_cut a, L_cut b -> View_id.equal a.at b.at && View_id.equal a.from b.from && lineage_equal a.before b.before
   | L_rejoined a, L_rejoined b -> Node_id.equal a b
   | (L_continuous | L_cut _ | L_rejoined _), _ -> false
 
@@ -65,11 +66,11 @@ type Payload.t +=
       (** Periodic local peer discovery (Section 6.3); full views, so a
           node that abandoned a group can notice it is still listed. *)
   | L_merge_views  (** Paper Figure 5: request a merge round on this HWG. *)
-  | L_all_views of { from : Node_id.t; views : (Gid.t * View.t * lineage) list }
+  | L_all_views of { from : Node_id.t; views : (Gid.t * View.t * lineage * int) list }
       (** Paper Figure 5's ALL-VIEWS / MAPPED-VIEWS, each view tagged
-          with the sender's carrier lineage since it was installed. *)
-  | L_arrived of { lwg : Gid.t; node : Node_id.t }
-      (** Switch protocol: a member reached the target HWG. *)
+          with the sender's carrier lineage since it was installed and
+          the sender's sequence floor for its LWG (the highest view seq
+          it has seen or minted), which a merged id must exceed. *)
   | L_state of { lwg : Gid.t; lview : View_id.t; recipients : Node_id.t list; state : Payload.t }
       (** State transfer: application state captured by the coordinator
           at the flush synchronisation point, for the view's joiners. *)
@@ -90,7 +91,6 @@ let () =
     | L_gossip { views } -> Some (Format.asprintf "l-gossip(%d)" (List.length views))
     | L_merge_views -> Some "l-merge-views"
     | L_all_views { from; views } -> Some (Format.asprintf "l-all-views(%a,%d)" Node_id.pp from (List.length views))
-    | L_arrived { lwg; node } -> Some (Format.asprintf "l-arrived(%a,%a)" Gid.pp lwg Node_id.pp node)
     | L_state { lwg; lview; recipients; _ } ->
         Some
           (Format.asprintf "l-state(%a,%a,%a)" Gid.pp lwg View_id.pp lview Node_id.pp_list recipients)

@@ -13,9 +13,11 @@ open Plwg_vsync.Types
     transition into a merged view. *)
 type lineage =
   | L_continuous  (** carrier history linear since the view was installed *)
-  | L_cut of { at : View_id.t; from : View_id.t }
-      (** first discontinuity: readmitted at carrier view [at] while
-          still holding carrier view [from] of a superseded branch *)
+  | L_cut of { at : View_id.t; from : View_id.t; before : lineage }
+      (** latest discontinuity, at carrier view [at] entered from
+          [from]: readmitted from a superseded branch, or left behind
+          by a merge round that moved the view's other holders on;
+          [before] is the lineage up to it *)
   | L_rejoined of Node_id.t
       (** crash recovery: a history no other node can share *)
 
@@ -52,11 +54,11 @@ type Payload.t +=
   | L_gossip of { views : (Gid.t * View.t) list }
       (** Periodic local peer discovery (Section 6.3). *)
   | L_merge_views  (** Paper Figure 5: request a merge round on this HWG. *)
-  | L_all_views of { from : Node_id.t; views : (Gid.t * View.t * lineage) list }
+  | L_all_views of { from : Node_id.t; views : (Gid.t * View.t * lineage * int) list }
       (** Paper Figure 5's ALL-VIEWS / MAPPED-VIEWS, each view tagged
-          with the sender's carrier lineage since it was installed. *)
-  | L_arrived of { lwg : Gid.t; node : Node_id.t }
-      (** Switch protocol: a member reached the target HWG. *)
+          with the sender's carrier lineage since it was installed and
+          the sender's sequence floor for its LWG (the highest view seq
+          it has seen or minted), which a merged id must exceed. *)
   | L_state of { lwg : Gid.t; lview : View_id.t; recipients : Node_id.t list; state : Payload.t }
       (** State transfer: application state captured by the coordinator
           at the flush synchronisation point, for the view's joiners. *)

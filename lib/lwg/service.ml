@@ -94,8 +94,11 @@ module Imap = Map.Make (Int)
 type hstate = {
   hgid : Gid.t;
   mutable hview : View.t option;
-  mutable all_views : (Gid.t * View.t * lineage) list Node_id.Map.t;
+  mutable all_views : (Gid.t * View.t * lineage * int) list Node_id.Map.t;
   mutable sent_all_views : bool;
+  mutable flushing : int list;
+      (* Gid.code of each LWG with an L_stop_ok or L_view delivered in
+         the current carrier view (see [note_lflush]) *)
   mutable forwards : Gid.t Imap.t; (* keyed by Gid.code of the moved LWG *)
   mutable empty_since : Time.t option;
 }
@@ -141,6 +144,7 @@ let hstate_of t hgid =
           hview = None;
           all_views = Node_id.Map.empty;
           sent_all_views = false;
+          flushing = [];
           forwards = Imap.empty;
           empty_since = None;
         }
@@ -175,11 +179,6 @@ let lwg_coordinator view = match view.View.members with [] -> -1 | m :: _ -> m
 let rec all_present present = function
   | [] -> true
   | m :: rest -> Node_id.Set.mem m present && all_present present rest
-[@@zero_alloc_hot]
-
-let rec any_present present = function
-  | [] -> false
-  | m :: rest -> Node_id.Set.mem m present || any_present present rest
 [@@zero_alloc_hot]
 
 let hview_members t (l : lstate) =
@@ -358,7 +357,6 @@ let[@transition] end_lflush t (l : lstate) ~outcome =
           Plwg_obs.Event.Flush_end { node = t.node; group = Gid.to_string l.lwg; epoch = flush.lf_epoch; outcome })
 
 let remove_lstate t (l : lstate) ~installed =
-  Logs.debug (fun m -> m "n%d remove_lstate %s installed=%b" t.node (Gid.to_string l.lwg) installed);
   end_lflush t l ~outcome:"left";
   if installed then
     Rt.trace t.rt (fun () -> Plwg_obs.Event.Group_left { layer = Lwg; node = t.node; group = Gid.to_string l.lwg });
@@ -389,7 +387,6 @@ let[@transition] finish_drain t (l : lstate) ~d_view ~d_switch ~d_leaving =
         ignore (hstate_of t h2);
         l.status <- Migrating;
         Hwg.join t.hwg h2;
-        multicast_h t h2 (L_arrived { lwg = l.lwg; node = t.node });
         check_migration t l
   end
 
@@ -411,9 +408,6 @@ let try_finish_drain t (l : lstate) =
 (* ------------------------------------------------------------------ *)
 
 let[@transition] start_lflush t (l : lstate) ~new_members ~switch =
-  Logs.debug (fun m -> m "n%d start_lflush %s -> {%s} (status ok=%b)" t.node (Gid.to_string l.lwg)
-    (String.concat "," (List.map string_of_int (Node_id.Set.elements new_members)))
-    (match l.status with L_normal -> true | _ -> false));
   match (l.status, l.view, l.hwg) with
   | L_normal, Some view, Some hwg when Node_id.equal (lwg_coordinator view) t.node && Option.is_none l.flush ->
       l.epoch <- l.epoch + 1;
@@ -437,7 +431,6 @@ let[@transition] start_lflush t (l : lstate) ~new_members ~switch =
 let start_switch t (l : lstate) target =
   match l.view with
   | Some view when Option.is_none l.flush && (match l.status with L_normal -> true | _ -> false) ->
-      Logs.debug (fun m -> m "n%d start_switch %s -> %s" t.node (Gid.to_string l.lwg) (Gid.to_string target));
       t.switches <- t.switches + 1;
       Rt.count t.rt "lwg.switches";
       start_lflush t l ~new_members:(View.members_set view) ~switch:(Some target)
@@ -455,30 +448,33 @@ let finish_lflush t (l : lstate) flush =
   match (l.view, l.hwg) with
   | Some view, Some hwg ->
       end_lflush t l ~outcome:"installed";
-      (match Node_id.Set.min_elt_opt flush.lf_new_members with
-      | None -> () (* everyone left; nothing to install *)
-      | Some coord ->
-          let id = { View_id.coord; seq = view.View.id.View_id.seq + 1 } in
-          let new_view = View.of_set ~id ~group:l.lwg ~members:flush.lf_new_members ~preds:[ view.View.id ] in
-          multicast_h t hwg
-            (L_view
-               {
-                 lwg = l.lwg;
-                 epoch = flush.lf_epoch;
-                 view = new_view;
-                 cut = Node_id.Map.bindings flush.lf_oks;
-                 switch_to = flush.lf_switch;
-               });
-          (* state transfer: the coordinator captures application state
-             at this synchronisation point and ships it to the joiners;
-             carrier FIFO puts it after their L_VIEW *)
-          (match t.state_callbacks with
-          | Some callbacks when Option.is_none flush.lf_switch ->
-              let joiners = Node_id.Set.elements (Node_id.Set.diff flush.lf_new_members flush.lf_old_members) in
-              if not (List.is_empty joiners) then
-                multicast_h t hwg
-                  (L_state { lwg = l.lwg; lview = id; recipients = joiners; state = callbacks.capture l.lwg })
-          | Some _ | None -> ()))
+      (* everyone left: nothing to install *)
+      if not (Node_id.Set.is_empty flush.lf_new_members) then begin
+        (* HWG's rule: minted under this node, above every seq it has
+           seen or minted for the LWG, and recorded at once *)
+        let id = { View_id.coord = t.node; seq = 1 + max view.View.id.View_id.seq (lseq_floor_of t l.lwg) } in
+        note_lseq t l.lwg id.View_id.seq;
+        let new_view = View.of_set ~id ~group:l.lwg ~members:flush.lf_new_members ~preds:[ view.View.id ] in
+        multicast_h t hwg
+          (L_view
+             {
+               lwg = l.lwg;
+               epoch = flush.lf_epoch;
+               view = new_view;
+               cut = Node_id.Map.bindings flush.lf_oks;
+               switch_to = flush.lf_switch;
+             });
+        (* state transfer: the coordinator captures application state
+           at this synchronisation point and ships it to the joiners;
+           carrier FIFO puts it after their L_VIEW *)
+        (match t.state_callbacks with
+        | Some callbacks when Option.is_none flush.lf_switch ->
+            let joiners = Node_id.Set.elements (Node_id.Set.diff flush.lf_new_members flush.lf_old_members) in
+            if not (List.is_empty joiners) then
+              multicast_h t hwg
+                (L_state { lwg = l.lwg; lview = id; recipients = joiners; state = callbacks.capture l.lwg })
+        | Some _ | None -> ())
+      end
   | _, _ -> ()
 
 let[@transition] handle_lstop_ok t (l : lstate) ~epoch ~from ~sent =
@@ -490,8 +486,6 @@ let[@transition] handle_lstop_ok t (l : lstate) ~epoch ~from ~sent =
   | Some _ | None -> ()
 
 let[@transition] handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to =
-  Logs.debug (fun m -> m "n%d handle_lview %s %s lstate=%b" t.node (Gid.to_string lwg)
-    (Format.asprintf "%a" View.pp view) (Option.is_some (lstate_of t lwg)));
   match lstate_of t lwg with
   | None ->
       (* not involved, but remember where the group went *)
@@ -503,10 +497,7 @@ let[@transition] handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to =
       (* a join request of ours may have been absorbed after we already
          abandoned the group: ask to be flushed back out, or we linger
          in the view as a phantom member *)
-      if View.mem t.node view then begin
-        Logs.debug (fun m -> m "n%d phantom-in-view %s: requesting leave" t.node (Gid.to_string lwg));
-        multicast_h t carrier (L_leave_req { lwg; leaver = t.node })
-      end
+      if View.mem t.node view then multicast_h t carrier (L_leave_req { lwg; leaver = t.node })
   | Some l -> (
       let am_new = View.mem t.node view in
       let was_old = match l.view with Some v -> List.exists (View_id.equal v.View.id) view.View.preds | None -> false in
@@ -592,13 +583,16 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
 (* Merge-views protocol (Figure 5)                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* how long a carrier coordinator waits, after its own ALL-VIEWS, for
+   the other members' before it closes the round without them *)
+let round_wait = Time.ms 50
+
 let my_views_on t carrier =
-  (* Gid.code order = Gid.compare order, so all sorted iterations below
-     are unchanged by the int keying *)
   Itbl.fold_sorted
     (fun _ (l : lstate) acc ->
       match (l.hwg, l.view, l.status) with
-      | Some h, Some view, (L_normal | L_stopped) when Gid.equal h carrier -> (l.lwg, view, l.lineage) :: acc
+      | Some h, Some view, (L_normal | L_stopped) when Gid.equal h carrier ->
+          (l.lwg, view, l.lineage, lseq_floor_of t l.lwg) :: acc
       | _, _, _ -> acc)
     t.lstates []
 
@@ -615,58 +609,68 @@ let my_plain_views_on t carrier =
     t.lstates []
 [@@zero_alloc_hot]
 
+let all_answered hs =
+  match hs.hview with Some hv -> List.for_all (fun m -> Node_id.Map.mem m hs.all_views) hv.View.members | None -> false
+
+(* A round closes at the next carrier flush.  The carrier coordinator
+   forces it once every member of its carrier view has answered, or
+   [round_wait] after its own answer if one has not: a member that
+   never answers delays the round but does not stall it. *)
 let handle_merge_views t ~carrier =
   let hs = hstate_of t carrier in
   if not hs.sent_all_views then begin
     hs.sent_all_views <- true;
     multicast_h t carrier (L_all_views { from = t.node; views = my_views_on t carrier });
-    if Hwg.am_coordinator t.hwg carrier then Hwg.force_flush t.hwg carrier
+    if Hwg.am_coordinator t.hwg carrier then begin
+      let round = hs.hview in
+      Rt.after_node_ t.rt t.node round_wait (fun () ->
+          if hs.hview == round && not (all_answered hs) then Hwg.force_flush t.hwg carrier)
+    end
   end
 
 let handle_all_views t ~carrier ~from ~views =
   let hs = hstate_of t carrier in
-  hs.all_views <- Node_id.Map.add from views hs.all_views
+  hs.all_views <- Node_id.Map.add from views hs.all_views;
+  if Hwg.am_coordinator t.hwg carrier && all_answered hs then Hwg.force_flush t.hwg carrier
+
+(* An L_stop_ok or L_view of [lwg] was delivered: its coordinator may be
+   minting from the view it contributed, so the LWG sits this carrier
+   view's round out. *)
+let note_lflush t carrier lwg =
+  let hs = hstate_of t carrier in
+  let key = Gid.code lwg in
+  if not (List.mem key hs.flushing) then hs.flushing <- key :: hs.flushing
 
 (* EVS-style transitional step.  [holders] are the merge contributors
-   of my current view id; sub-cohorts sharing a lineage value were
-   synchronised by their common carrier, divergent sub-cohorts were
-   not, so only ONE sub-cohort may install the merged view directly —
-   the others bridge through a transitional view first, keeping their
-   possibly-divergent deliveries out of the direct transition.  The
-   direct sub-cohort is the continuous one, else the one with the
-   smallest member.  Every choice is a function of ALL-VIEWS, so all
-   flush participants agree. *)
+   of my current view id, which diverged; sub-cohorts sharing a lineage
+   value were synchronised by their common carrier, divergent
+   sub-cohorts were not, so only ONE sub-cohort may install the merged
+   view directly — the others bridge through a transitional view first,
+   keeping their possibly-divergent deliveries out of the direct
+   transition.  The direct sub-cohort is the continuous one, else the
+   one with the smallest member.  Every choice is a function of
+   ALL-VIEWS, so all flush participants agree. *)
 let transitional_of ~holders ~seq ~lwg node (mine : View.t) =
-  match holders with
-  | [] | [ _ ] -> None
-  | _ -> (
-      match List.find_opt (fun (n, _, _) -> Node_id.equal n node) holders with
-      | None -> None
-      | Some (_, _, my_lin) ->
-          if List.for_all (fun (_, _, k) -> lineage_equal k my_lin) holders then None
-          else
-            let direct =
-              if List.exists (fun (_, _, k) -> lineage_is_continuous k) holders then L_continuous
-              else (
-                match List.sort (fun (a, _, _) (b, _, _) -> Node_id.compare a b) holders with
-                | (_, _, k) :: _ -> k
-                | [] -> my_lin)
-            in
-            if lineage_equal my_lin direct then None
-            else
-              let sub =
-                List.filter_map (fun (n, _, k) -> if lineage_equal k my_lin then Some n else None) holders
-                |> List.sort_uniq Node_id.compare
-              in
-              (match sub with
-              | [] -> None
-              | tcoord :: _ ->
-                  Some (View.make ~id:{ View_id.coord = tcoord; seq } ~group:lwg ~members:sub ~preds:[ mine.View.id ])))
+  let _, _, my_lin, _ = List.find (fun (n, _, _, _) -> Node_id.equal n node) holders in
+  let direct =
+    if List.exists (fun (_, _, k, _) -> lineage_is_continuous k) holders then L_continuous
+    else (
+      match List.sort (fun (a, _, _, _) (b, _, _, _) -> Node_id.compare a b) holders with
+      | (_, _, k, _) :: _ -> k
+      | [] -> my_lin)
+  in
+  if lineage_equal my_lin direct then None
+  else
+    let sub =
+      List.filter_map (fun (n, _, k, _) -> if lineage_equal k my_lin then Some n else None) holders
+      |> List.sort_uniq Node_id.compare
+    in
+    Some (View.make ~id:{ View_id.coord = List.hd sub; seq } ~group:lwg ~members:sub ~preds:[ mine.View.id ])
 
-(* One LWG's ALL-VIEWS contributions are [(node, view, lineage)]
-   triples.  Which views they name and whether a view's holders diverge
-   are answered by walking that list, without building a holder list
-   per question. *)
+(* One LWG's ALL-VIEWS contributions are [(node, view, lineage, floor)]
+   tuples.  Which views they name, who holds a view and whether its
+   holders diverge are answered by walking that list, without building
+   a holder list per question. *)
 
 let rec has_view vid = function
   | [] -> false
@@ -677,156 +681,127 @@ let rec has_view vid = function
    contribution order *)
 let rec distinct_views acc = function
   | [] -> acc
-  | (_, (v : View.t), _) :: rest -> distinct_views (if has_view v.id acc then acc else v :: acc) rest
+  | (_, (v : View.t), _, _) :: rest -> distinct_views (if has_view v.id acc then acc else v :: acc) rest
+
+let rec holds node vid = function
+  | [] -> false
+  | (n, (v : View.t), _, _) :: rest -> (Node_id.equal n node && View_id.equal v.id vid) || holds node vid rest
+[@@zero_alloc_hot]
 
 let rec agree_on vid k0 = function
   | [] -> true
-  | (_, (v : View.t), k) :: rest -> ((not (View_id.equal v.id vid)) || lineage_equal k k0) && agree_on vid k0 rest
+  | (_, (v : View.t), k, _) :: rest -> ((not (View_id.equal v.id vid)) || lineage_equal k k0) && agree_on vid k0 rest
 [@@zero_alloc_hot]
 
 (* two holders of [vid] contributed different lineages *)
 let rec divergent vid = function
   | [] -> false
-  | (_, (v : View.t), k0) :: rest -> if View_id.equal v.id vid then not (agree_on vid k0 rest) else divergent vid rest
+  | (_, (v : View.t), k0, _) :: rest -> if View_id.equal v.id vid then not (agree_on vid k0 rest) else divergent vid rest
 [@@zero_alloc_hot]
 
-let holders vid contribs = List.filter (fun (_, (v : View.t), _) -> View_id.equal v.id vid) contribs
+let holders vid contribs = List.filter (fun (_, (v : View.t), _, _) -> View_id.equal v.id vid) contribs
 
-(* The present members of [views].  The stored set of the first view is
-   reused when all of its members are present; the others' present
-   members are added to it. *)
-let present_members present views =
-  List.fold_left
-    (fun acc (v : View.t) ->
-      if Node_id.Set.is_empty acc && all_present present v.members then v.members_set
-      else List.fold_left (fun acc m -> if Node_id.Set.mem m present then Node_id.Set.add m acc else acc) acc v.members)
-    Node_id.Set.empty views
-
-(* One LWG of a merge round, at a node holding [mine].  [contribs] is
-   in descending contributor order. *)
-let[@transition] merge_lwg t hs present (l : lstate) (mine : View.t) contribs =
-  let lwg = l.lwg in
-  let relevant = List.filter (fun (v : View.t) -> any_present present v.members) (distinct_views [] contribs) in
+(* One LWG of a merge round at carrier view [at], entered from [from],
+   at a node holding [mine].  [contribs] are the present contributors',
+   in descending contributor order.  A merge is needed when they name
+   two or more views, one view whose members are not exactly its
+   holders, or one whose holders diverge.  The merged view lists
+   exactly the contributors, so everyone it names installs it; its id
+   is above every contributed seq and floor, its coordinator's
+   included, and [finish_lflush] mints only under its own node above
+   its floor, so no other mint can produce it. *)
+let[@transition] merge_lwg t ~at ~from (l : lstate) (mine : View.t) contribs =
+  let views = distinct_views [] contribs in
   let needs_merge =
-    match relevant with
+    match views with
     | [] -> false
-    (* a single fully-present view held along one lineage needs no
-       merge.  Absent members or divergent holders still get resolved
-       HERE rather than in [shrink_check]: its holders may be recovered
-       or readmitted nodes, and minting from a possibly superseded view
-       locally is unsafe *)
-    | [ v ] -> (not (all_present present v.View.members)) || divergent v.View.id contribs
+    | [ v ] -> (not (List.for_all (fun m -> holds m v.View.id contribs) v.View.members)) || divergent v.View.id contribs
     | _ -> true
   in
-  if not needs_merge then (
-    (* One view, held by all its members along one lineage: nothing
+  if not needs_merge then begin
+    (* One view, held by exactly its members along one lineage: nothing
        diverged, so a latched lineage clears.  Left latched, it reopened
        this round at every carrier install, forever (e.g. a coordinator
        that alone moved its view to a fresh carrier). *)
-    match relevant with
-    | [ v ] when View_id.equal mine.View.id v.View.id ->
-        let holder_nodes = List.map (fun (n, _, _) -> n) (holders v.View.id contribs) in
-        if Node_id.Set.equal (View.members_set v) (Node_id.Set.of_list holder_nodes) then l.lineage <- L_continuous
-    | _ -> ())
-  else
-    let members = present_members present relevant in
-    match Node_id.Set.min_elt_opt members with
-    | None -> ()
-    | Some coord ->
-        let preds = List.map (fun v -> v.View.id) relevant in
-        if Node_id.Set.mem t.node members && has_view mine.View.id relevant then begin
-          let max_seq = List.fold_left (fun acc v -> max acc v.View.id.View_id.seq) 0 relevant in
-          (* when any contributed view has divergent holders, leave
-             room below the merged view's seq for their transitional
-             bridges (per-node installed seqs must be strictly
-             increasing) *)
-          let any_divergent = List.exists (fun v -> divergent v.View.id contribs) relevant in
-          let seq_new = max_seq + if any_divergent then 2 else 1 in
-          let view = View.of_set ~id:{ View_id.coord; seq = seq_new } ~group:lwg ~members ~preds in
-          Logs.debug (fun m -> m "n%d lwg-merge %s on %s" t.node (Gid.to_string lwg) (Gid.to_string hs.hgid));
-          (* [mine] becomes an ancestor at the install below *)
-          List.iter
-            (fun vid -> if not (View_id.equal vid mine.View.id) then Itbl.replace l.ancestors (View_id.code vid) ())
-            preds;
-          t.merges <- t.merges + 1;
-          Rt.count t.rt "lwg.merges";
-          Rt.trace t.rt (fun () ->
-              Plwg_obs.Event.Reconcile_step { node = t.node; step = Plwg_obs.Event.Merge_views; group = Gid.to_string lwg });
-          (* holders that agree on a lineage need no bridge *)
-          (if divergent mine.View.id contribs then
-             match transitional_of ~holders:(holders mine.View.id contribs) ~seq:(max_seq + 1) ~lwg t.node mine with
-             | Some tview -> install_lview t l tview
-             | None -> ());
-          install_lview t l view;
-          l.status <- L_normal;
-          end_lflush t l ~outcome:"superseded";
-          ns_set_view t l view;
-          drain_outbox t l
-        end
+    if has_view mine.View.id views then l.lineage <- L_continuous
+  end
+  else if not (holds t.node mine.View.id contribs) then
+    (* merged without me: my view is superseded where I was not, so it
+       must not mint a shrunk successor (its id could be the merged
+       one); the latch has me request rounds until one merges me *)
+    l.lineage <- L_cut { at; from; before = l.lineage }
+  else begin
+    let members = List.fold_left (fun acc (n, _, _, _) -> Node_id.Set.add n acc) Node_id.Set.empty contribs in
+    let top =
+      List.fold_left (fun acc (_, (v : View.t), _, floor) -> max acc (max v.id.View_id.seq floor)) 0 contribs
+    in
+    (* when any contributed view has divergent holders, leave room
+       below the merged view's seq for their transitional bridges
+       (per-node installed seqs must be strictly increasing) *)
+    let any_divergent = List.exists (fun (v : View.t) -> divergent v.id contribs) views in
+    let id = { View_id.coord = Node_id.Set.min_elt members; seq = (top + if any_divergent then 2 else 1) } in
+    let view = View.of_set ~id ~group:l.lwg ~members ~preds:(List.map (fun (v : View.t) -> v.id) views) in
+    List.iter (fun (v : View.t) -> Itbl.replace l.ancestors (View_id.code v.id) ()) views;
+    t.merges <- t.merges + 1;
+    Rt.count t.rt "lwg.merges";
+    Rt.trace t.rt (fun () ->
+        Plwg_obs.Event.Reconcile_step { node = t.node; step = Plwg_obs.Event.Merge_views; group = Gid.to_string l.lwg });
+    (* holders that agree on a lineage need no bridge *)
+    (if divergent mine.View.id contribs then
+       match transitional_of ~holders:(holders mine.View.id contribs) ~seq:(top + 1) ~lwg:l.lwg t.node mine with
+       | Some tview -> install_lview t l tview
+       | None -> ());
+    install_lview t l view;
+    l.status <- L_normal;
+    end_lflush t l ~outcome:"superseded";
+    ns_set_view t l view;
+    drain_outbox t l
+  end
 
 (* At the flush synchronisation point every continuing member holds the
    same ALL-VIEWS set, so the merge is computed deterministically and
-   locally: union the concurrent views of each LWG (Figure 5 line 115).
-   The contributions are grouped by LWG once per round; an LWG this
-   node holds no view of is skipped before any analysis, since only a
-   node holding a view installs or clears anything. *)
-let[@transition] compute_merges t hs hview =
-  let present = View.members_set hview in
-  (* The minted id dominates every live lineage only if every present
-     member contributed its views (a member that never saw the
-     merge-views request — a straggler computing at a different flush,
-     or a node that joined the carrier mid-round — may hold a newer
-     view than any in the set, and minting max+1 from a partial set
-     can duplicate an id minted elsewhere).  An incomplete round is
-     abandoned; the lineage latch in [handle_hwg_view] reopens it. *)
-  if Node_id.Set.for_all (fun n -> Node_id.Map.mem n hs.all_views) present then begin
-    let by_lwg : (Node_id.t * View.t * lineage) list Itbl.t = Itbl.create () in
-    Node_id.Map.iter
-      (fun from views ->
+   locally: union the concurrent views of each LWG (Figure 5 line 115)
+   over the present members that answered.  An LWG in [hs.flushing]
+   sits the round out.  The contributions are grouped by LWG once per
+   round; an LWG this node holds no view of is skipped before any
+   analysis, since only a node holding a view installs or clears
+   anything. *)
+let[@transition] compute_merges t hs hview ~from =
+  let by_lwg = Itbl.create () in
+  Node_id.Map.iter
+    (fun node views ->
+      if View.mem node hview then
         List.iter
-          (fun (lwg, view, lin) ->
+          (fun (lwg, view, lin, floor) ->
             let key = Gid.code lwg in
-            let known = try Itbl.find by_lwg key with Not_found -> [] in
-            Itbl.replace by_lwg key ((from, view, lin) :: known))
+            if not (List.mem key hs.flushing) then
+              let known = try Itbl.find by_lwg key with Not_found -> [] in
+              Itbl.replace by_lwg key ((node, view, lin, floor) :: known))
           views)
-      hs.all_views;
-    Itbl.iter_sorted
-      (fun lwg_code contribs ->
-        match Itbl.find t.lstates lwg_code with
-        | { view = Some mine; _ } as l -> merge_lwg t hs present l mine contribs
-        | { view = None; _ } -> ()
-        | exception Not_found -> ())
-      by_lwg
-  end
+    hs.all_views;
+  Itbl.iter_sorted
+    (fun lwg_code contribs ->
+      match Itbl.find t.lstates lwg_code with
+      | { view = Some mine; _ } as l -> merge_lwg t ~at:hview.View.id ~from l mine contribs
+      | { view = None; _ } -> ()
+      | exception Not_found -> ())
+    by_lwg
 
 (* ------------------------------------------------------------------ *)
 (* Reactions to HWG view changes                                       *)
 (* ------------------------------------------------------------------ *)
 
 let[@transition] shrink_check t (l : lstate) hview ~continuous =
+  let present = View.members_set hview in
   match (l.status, l.view) with
-  | (L_normal | L_stopped), Some view ->
-      let present = View.members_set hview in
-      if not (all_present present view.View.members) then begin
-        if (not (lineage_is_continuous l.lineage)) || not continuous then
-          (* A node whose history has a gap — crash recovery, or a
-             carrier view that is not the linear successor of the one
-             it last held (exclusion by false suspicion, HWG merge) —
-             may hold an LWG view the mainline already shrank along a
-             different cut, so minting [view.seq + 1] here can
-             duplicate a view id that exists with other members.
-             Reconcile through the flush-synchronised merge round
-             instead: every participant contributes its current view,
-             so the minted id dominates all of them. *)
-          match l.hwg with
-          | Some carrier -> request_merge t carrier
-          | None -> ()
-        else begin
+  | (L_normal | L_stopped), Some view when not (all_present present view.View.members) -> (
+      match l.status with
+      | L_normal when lineage_is_continuous l.lineage && continuous ->
           (* survivors compute the same shrunken view without messages:
              the HWG flush already synchronised delivery *)
           end_lflush t l ~outcome:"superseded";
           let members = Node_id.Set.inter (View.members_set view) present in
-          match Node_id.Set.min_elt_opt members with
+          (match Node_id.Set.min_elt_opt members with
           | None -> ()
           | Some coord ->
               let view' =
@@ -837,9 +812,19 @@ let[@transition] shrink_check t (l : lstate) hview ~continuous =
               install_lview t l view';
               l.status <- L_normal;
               ns_set_view t l view';
-              drain_outbox t l
-        end
-      end
+              drain_outbox t l)
+      | _ -> (
+          (* A node whose history has a gap — crash recovery, a carrier
+             view that is not the linear successor of the one it last
+             held, a round that merged its view without it — may hold a
+             view superseded elsewhere, and a stopped member's
+             coordinator may have minted a successor whose L_view is
+             still on its way: minting [view.seq + 1] here can duplicate
+             an id minted with other members.  A merge round mints above
+             every contributed seq and floor instead. *)
+          match l.hwg with
+          | Some carrier -> request_merge t carrier
+          | None -> ()))
   | _, _ -> ()
 
 let abort_stale_flush t (l : lstate) hview =
@@ -883,44 +868,34 @@ let[@transition] handle_hwg_view t hgid hview =
   if not mainline then
     Itbl.iter_sorted
       (fun _ (l : lstate) ->
-        match (l.hwg, l.view, l.lineage) with
-        | Some h, Some _, L_continuous when Gid.equal h hgid ->
-            (* first discontinuity since this LWG view was installed
-               wins: carrier history shared after a divergence cannot
-               restore messages lost during it, so later cuts must not
-               overwrite the latch *)
+        match (l.hwg, l.view) with
+        | Some h, Some _ when Gid.equal h hgid ->
+            (* every discontinuity since this LWG view was installed is
+               kept: carrier history shared after a divergence cannot
+               restore messages lost during it, and two holders cut at
+               the same point may still part at a later one *)
             l.lineage <-
               (match prev with
-              | Some p -> L_cut { at = hview.View.id; from = p.View.id }
+              | Some p -> L_cut { at = hview.View.id; from = p.View.id; before = l.lineage }
               | None -> L_rejoined t.node)
-        | _, _, _ -> ())
+        | _, _ -> ())
       t.lstates;
-  (* joiners waiting for HWG membership can announce now *)
-  Itbl.iter_sorted
-    (fun _ (l : lstate) ->
-      match (l.status, l.hwg) with
-      | Joining_hwg, Some h when Gid.equal h hgid && View.mem t.node hview ->
-          l.status <- Announcing { a_since = Rt.now t.rt };
-          multicast_h t hgid (L_join_req { lwg = l.lwg; joiner = t.node })
-      | _, _ -> ())
-    t.lstates;
-  if List.length hview.View.preds > 1 then begin
-    (* HWG merge: ALL-VIEWS gathered in disjoint previous views are not
-       comparable; restart discovery inside the merged view *)
-    hs.all_views <- Node_id.Map.empty;
-    hs.sent_all_views <- false;
-    multicast_h t hgid (L_gossip { views = my_plain_views_on t hgid })
-  end
-  else begin
-    (* Only nodes arriving on the mainline compute the merge: the
-       "same ALL-VIEWS at the flush point" determinism argument holds
-       among the continuing cohort only.  A detached node's set was
-       gathered in a superseded carrier view and can mint a
-       conflicting id; its latched lineage reopens the round below. *)
-    if mainline && not (Node_id.Map.is_empty hs.all_views) then compute_merges t hs hview;
-    hs.all_views <- Node_id.Map.empty;
-    hs.sent_all_views <- false
-  end;
+  (match prev with
+  | _ when List.length hview.View.preds > 1 ->
+      (* HWG merge: ALL-VIEWS gathered in disjoint previous views are
+         not comparable; restart discovery inside the merged view *)
+      multicast_h t hgid (L_gossip { views = my_plain_views_on t hgid })
+  | Some p when mainline && not (Node_id.Map.is_empty hs.all_views) ->
+      (* Only nodes arriving on the mainline compute the merge: the
+         "same ALL-VIEWS at the flush point" determinism argument holds
+         among the continuing cohort only.  A detached node's set was
+         gathered in a superseded carrier view; its latched lineage
+         reopens the round below. *)
+      compute_merges t hs hview ~from:p.View.id
+  | Some _ | None -> ());
+  hs.all_views <- Node_id.Map.empty;
+  hs.sent_all_views <- false;
+  hs.flushing <- [];
   (* A divergent view whose holders all still advertise the same id is
      invisible to gossip-based discovery; open a merge round explicitly
      so the divergence is resolved at the next flush.  Views the merge
@@ -946,11 +921,14 @@ let[@transition] handle_hwg_view t hgid hview =
           try_finish_drain t l
       | Some _ | None -> ())
     t.lstates;
-  (* migrations waiting for this HWG *)
+  (* migrations and joiners waiting for this HWG *)
   Itbl.iter_sorted
     (fun _ (l : lstate) ->
       match (l.status, l.hwg) with
       | Migrating, Some h when Gid.equal h hgid -> check_migration t l
+      | Joining_hwg, Some h when Gid.equal h hgid && View.mem t.node hview ->
+          l.status <- Announcing { a_since = Rt.now t.rt };
+          multicast_h t hgid (L_join_req { lwg = l.lwg; joiner = t.node })
       | _, _ -> ())
     t.lstates
 
@@ -979,7 +957,6 @@ let[@transition] handle_join_req t ~carrier ~lwg ~joiner =
       | Some _ | None -> ())
 
 let[@transition] handle_leave_req t ~lwg ~leaver =
-  Logs.debug (fun m -> m "n%d handle_leave_req %s leaver=%d" t.node (Gid.to_string lwg) leaver);
   match lstate_of t lwg with
   | Some l -> (
       match (l.status, l.view) with
@@ -1099,7 +1076,6 @@ let handle_multiple_mappings t lwg entries =
       match (l.status, l.view, best_entry entries) with
       | L_normal, Some view, Some target
         when Node_id.equal (lwg_coordinator view) t.node && Option.is_none l.flush && not (Option.equal Gid.equal l.hwg (Some target.Db.hwg)) ->
-          Logs.debug (fun m -> m "n%d multiple-mappings switch %s" t.node (Gid.to_string lwg));
           Rt.count t.rt "lwg.mapping_reconciliations";
           Rt.trace t.rt (fun () ->
               Plwg_obs.Event.Reconcile_step
@@ -1424,13 +1400,15 @@ let handle_hwg_data t ~carrier ~src payload =
   | L_stop { lwg; epoch; lview } -> (
       match lstate_exn t lwg with l -> handle_lstop t l ~epoch ~lview | exception Not_found -> ())
   | L_stop_ok { lwg; epoch; from; sent } -> (
+      note_lflush t carrier lwg;
       match lstate_exn t lwg with l -> handle_lstop_ok t l ~epoch ~from ~sent | exception Not_found -> ())
-  | L_view { lwg; epoch; view; cut; switch_to } -> handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to
+  | L_view { lwg; epoch; view; cut; switch_to } ->
+      note_lflush t carrier lwg;
+      handle_lview t ~carrier ~lwg ~epoch ~view ~cut ~switch_to
   | L_forward { lwg; to_hwg } -> handle_forward t ~lwg ~to_hwg
   | L_gossip { views } -> handle_gossip t ~carrier ~views
   | L_merge_views -> handle_merge_views t ~carrier
   | L_all_views { from; views } -> handle_all_views t ~carrier ~from ~views
-  | L_arrived _ -> ()
   | L_state { lwg; lview; recipients; state } -> (
       match (lstate_exn t lwg, t.state_callbacks) with
       | l, Some callbacks when List.mem t.node recipients -> (

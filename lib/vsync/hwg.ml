@@ -147,6 +147,7 @@ type gstate = {
   mutable leavers : Node_id.Set.t;
   mutable foreign : (Time.t * Node_id.t) list;
   mutable last_proposal : Node_id.Set.t; (* from the latest accepted STOP: candidates, not leaders *)
+  mutable non_holders : Node_id.Set.t; (* answered a change request without holding the group: never elected *)
   mutable want_flush : bool;
   mutable leaving_self : bool;
   mutable change : change option;
@@ -263,11 +264,17 @@ let deliver_upcall t g msg ~view_id =
   end
 [@@zero_alloc_hot]
 
-let deliver_now t g msg ~view_id =
-  g.delivered.(msg.sender) <- msg.seq + 1;
+let store_msg g msg =
   Deque.push_back g.store.(msg.sender) msg;
   g.store_count <- g.store_count + 1;
-  if g.store_count > g.store_peak then g.store_peak <- g.store_count;
+  if g.store_count > g.store_peak then g.store_peak <- g.store_count
+[@@zero_alloc_hot]
+
+(* This node's own multicasts are stored when sent (see
+   [stamp_and_multicast]), everyone else's when delivered. *)
+let deliver_now t g msg ~view_id =
+  g.delivered.(msg.sender) <- msg.seq + 1;
+  if not (Node_id.equal msg.sender t.node) then store_msg g msg;
   deliver_upcall t g msg ~view_id
 [@@zero_alloc_hot]
 
@@ -372,7 +379,9 @@ let stamp_and_multicast t g ~origin ~local_id body =
         | Causal -> vec_bindings g.delivered
         | Fifo | Total -> []
       in
-      multicast_data t g { sender = t.node; seq; origin; local_id; vc; body }
+      let msg = { sender = t.node; seq; origin; local_id; vc; body } in
+      store_msg g msg;
+      multicast_data t g msg
 
 let send_in_view t g body =
   match g.view with
@@ -448,6 +457,7 @@ let reset_for_view t g view =
     g.frozen_count <- List.length g.frozen
   end;
   g.last_proposal <- Node_id.Set.empty;
+  g.non_holders <- Node_id.Set.empty;
   g.view_seq <- max g.view_seq view.View.id.View_id.seq;
   Rt.count t.rt "hwg.views_installed";
   Rt.trace t.rt (fun () ->
@@ -549,7 +559,7 @@ let rec evaluate t g =
            self-electing would livelock the real coordinator's change
            with ever-higher epochs. *)
         let pool =
-          Node_id.Set.inter (Node_id.Set.union current (fresh_foreign t g)) reachable
+          Node_id.Set.diff (Node_id.Set.inter (Node_id.Set.union current (fresh_foreign t g)) reachable) g.non_holders
         in
         if Option.is_none g.view then begin
           let others = Node_id.Set.remove t.node pool in
@@ -603,7 +613,6 @@ let rec evaluate t g =
 
 and initiate t g desired =
   g.epoch <- g.epoch + 1;
-  Logs.debug (fun m -> m "n%d initiate %s e%d proposal=%s" t.node (Gid.to_string g.group) g.epoch (String.concat "," (List.map string_of_int (Node_id.Set.elements desired))));
   let epoch = g.epoch in
   let deadline = Rt.after_node t.rt t.node flush_deadline (fun () -> on_deadline t g epoch) in
   g.change <-
@@ -645,9 +654,7 @@ and handle_stop t ~src:_ ~group ~epoch ~coord ~proposal =
       unicast t ~dst:coord
         (Hw_flushed { group; epoch; from = t.node; prev = None; delivered = []; store = []; leaving = true })
   | Some g ->
-      if epoch < g.epoch then begin
-        Logs.debug (fun m -> m "n%d nack-stop %s e%d<my e%d coord=%d" t.node (Gid.to_string group) epoch g.epoch coord);
-        unicast t ~dst:coord (Hw_stop_nack { group; epoch = g.epoch }) end
+      if epoch < g.epoch then unicast t ~dst:coord (Hw_stop_nack { group; epoch = g.epoch })
       else begin
         let accept =
           epoch > g.epoch
@@ -657,7 +664,6 @@ and handle_stop t ~src:_ ~group ~epoch ~coord ~proposal =
           | Joining _ | Normal -> true
         in
         if accept then begin
-          Logs.debug (fun m -> m "n%d accept-stop %s e%d coord=%d" t.node (Gid.to_string group) epoch coord);
           g.epoch <- epoch;
           (* the proposal tells us who else exists; remember for recovery,
              but only as change candidates -- a proposal member may be a
@@ -678,7 +684,13 @@ and flush_reply t g =
   match g.status with
   | Stopped stop ->
       stop.acked <- true;
-      let delivered = vec_bindings g.delivered in
+      (* Own multicasts count as delivered, their loopback copies in
+         flight or not: their bodies are stored since the send and
+         [handle_install] delivers them first, so a flush that overtakes
+         them on every link cannot drop them. *)
+      let delivered = Array.copy g.delivered in
+      delivered.(t.node) <- g.next_seq;
+      let delivered = vec_bindings delivered in
       unicast t ~dst:stop.st_coord
         (Hw_flushed
            {
@@ -709,16 +721,20 @@ and handle_flushed t ~group ~epoch ~from ~info =
   | g -> (
       match g.change with
       | Some change when change.ch_epoch = epoch && Node_id.Set.mem from change.ch_proposal ->
-          Logs.debug (fun m -> m "n%d flushed-from n%d %s e%d" t.node from (Gid.to_string group) epoch);
           change.ch_flushed <- Node_id.Map.add from info change.ch_flushed;
           let all_in =
             Node_id.Set.for_all (fun member -> Node_id.Map.mem member change.ch_flushed) change.ch_proposal
           in
           if all_in then finalize t g change
-      | Some _ | None -> ())
+      | Some _ | None ->
+          (* a node that no longer holds the group answered my change
+             request (see [handle_change_req]): elect someone else *)
+          if Option.is_none info.fi_prev && info.fi_leaving && not (Node_id.Set.mem from g.non_holders) then begin
+            g.non_holders <- Node_id.Set.add from g.non_holders;
+            evaluate t g
+          end)
 
 and finalize t g change =
-  Logs.debug (fun m -> m "n%d finalize %s e%d" t.node (Gid.to_string g.group) change.ch_epoch);
   cancel_change t g change ~outcome:"installed";
   Rt.observe t.rt "hwg.flush_us" (float_of_int (Time.diff (Rt.now t.rt) change.ch_started));
   let infos = change.ch_flushed in
@@ -808,10 +824,13 @@ and finalize t g change =
                   | Some msg -> missing := msg :: !missing
                   | None ->
                       (* unreachable if stores are complete; losing the body
-                         would break virtual synchrony, so fail loudly *)
-                      Logs.err (fun m ->
-                          m "hwg %a: missing body %a/#%d for %a" Gid.pp g.group Node_id.pp sender seq Node_id.pp
-                            member)
+                         breaks virtual synchrony, so count and trace it *)
+                      Rt.count t.rt "hwg.missing_body";
+                      Rt.trace t.rt (fun () ->
+                          Plwg_obs.Event.Msg_dropped
+                            { src = sender; dst = member;
+                              kind = Format.asprintf "hw-data(%a,%a/#%d)" Gid.pp g.group Node_id.pp sender seq;
+                              reason = "missing-body" })
                 done)
               cut;
             List.sort
@@ -845,12 +864,14 @@ and handle_install t ~group ~epoch ~view ~sync ~you_left =
         | Stopped { st_epoch; st_coord; _ } -> Int.equal epoch st_epoch && Node_id.equal view.View.id.View_id.coord st_coord
         | Joining _ | Normal -> false
       in
-      if not expected then Logs.debug (fun m -> m "n%d reject-install %s e%d from-coord=%d status=%s" t.node (Gid.to_string group) epoch view.View.id.View_id.coord (match g.status with Stopped {st_epoch;st_coord;_} -> Printf.sprintf "stopped(e%d,c%d)" st_epoch st_coord | Joining _ -> "joining" | Normal -> "normal"));
       if expected then begin
-        Logs.debug (fun m -> m "n%d install %s %s" t.node (Gid.to_string group) (Format.asprintf "%a" View.pp view));
         g.epoch <- max g.epoch epoch;
         (* deliver the synchronisation messages in the old view *)
         let old_view_id = match g.view with Some v -> v.View.id | None -> view.View.id in
+        (* own multicasts still in flight, counted in this node's FLUSHED *)
+        Deque.iter
+          (fun msg -> if msg.seq >= g.delivered.(t.node) then deliver_now t g msg ~view_id:old_view_id)
+          g.store.(t.node);
         (* iterate to a fixpoint: in causal mode a later list element can
            unblock an earlier one *)
         let rec deliver_sync pending =
@@ -868,9 +889,14 @@ and handle_install t ~group ~epoch ~view ~sync ~you_left =
         end
       end
 
-and handle_change_req t ~group ~joiners ~leavers ~foreign ~flush =
+and handle_change_req t ~src ~group ~joiners ~leavers ~foreign ~flush =
   match lookup_exn t group with
-  | exception Not_found -> ()
+  | exception Not_found ->
+      (* not a member (already left), answered as [handle_stop] answers
+         a Stop: a member that missed our leave, e.g. by being down,
+         would otherwise send its change requests here forever *)
+      unicast t ~dst:src
+        (Hw_flushed { group; epoch = 0; from = t.node; prev = None; delivered = []; store = []; leaving = true })
   | g ->
       g.joiners <- List.fold_left (fun acc n -> Node_id.Set.add n acc) g.joiners joiners;
       g.leavers <- List.fold_left (fun acc n -> Node_id.Set.add n acc) g.leavers leavers;
@@ -1163,6 +1189,7 @@ let join ?(ordering = Fifo) t group =
           leavers = Node_id.Set.empty;
           foreign = [];
           last_proposal = Node_id.Set.empty;
+          non_holders = Node_id.Set.empty;
           want_flush = false;
           leaving_self = false;
           change = None;
@@ -1250,7 +1277,7 @@ let create ~transport ~detector callbacks node =
       | Hw_join_announce { group; joiner } -> handle_join_announce t ~group ~joiner
       | Hw_view_announce { group; view_id; members } -> handle_view_announce t ~group ~view_id ~members
       | Hw_change_req { group; joiners; leavers; foreign; flush } ->
-          handle_change_req t ~group ~joiners ~leavers ~foreign ~flush
+          handle_change_req t ~src ~group ~joiners ~leavers ~foreign ~flush
       | Hw_stop { group; epoch; coord; proposal } -> handle_stop t ~src ~group ~epoch ~coord ~proposal
       | Hw_stop_nack { group; epoch } -> handle_stop_nack t ~group ~epoch
       | Hw_flushed { group; epoch; from; prev; delivered; store; leaving } ->

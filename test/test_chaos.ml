@@ -208,6 +208,35 @@ let test_oracle_fails_truncated_trace () =
 let repro_announce_storm =
   {|{"schema":"plwg-chaos-repro/1","seed":7924,"mode":"static","profile":"heavy","script":[{"at_us":14000000,"step":"crash","node":3},{"at_us":24000000,"step":"crash","node":4},{"at_us":39000000,"step":"crash","node":5}],"tail":[{"at_us":40000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":40100000,"step":"recover","node":0},{"at_us":40200000,"step":"recover","node":1},{"at_us":40300000,"step":"recover","node":2},{"at_us":40400000,"step":"recover","node":3},{"at_us":40500000,"step":"recover","node":4},{"at_us":40600000,"step":"recover","node":5},{"at_us":40800000,"step":"heal"}]}|}
 
+(* Default profile, seed 11, run 34: partition, 23 % loss, heal on the
+   static carrier.  It once ended with a virtual-synchrony violation in
+   an LWG.  One way there: two holders of one LWG view cut at the same
+   carrier merge parted at different later carrier views, and a lineage
+   tag that kept only the first cut called them synchronised, so a
+   merge moved both straight into one view though one had delivered a
+   message the other never saw.  The tag now keeps every carrier
+   discontinuity. *)
+let repro_lineage_parted =
+  {|{"schema":"plwg-chaos-repro/1","seed":269257,"mode":"static","profile":"default","script":[{"at_us":13501483,"step":"partition","classes":[[1,2,4],[0,3]]},{"at_us":14521143,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":235149,"proc_us":20},{"at_us":15883383,"step":"heal"}],"tail":[{"at_us":30000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":30100000,"step":"recover","node":0},{"at_us":30200000,"step":"recover","node":1},{"at_us":30300000,"step":"recover","node":2},{"at_us":30400000,"step":"recover","node":3},{"at_us":30500000,"step":"recover","node":4},{"at_us":30700000,"step":"heal"}]}|}
+
+(* Heavy profile, seed 5, run 19, under a merge round that closes over
+   the members that answered: at one carrier install a round merged a
+   view without one of its holders while that holder shrank the same
+   view locally, and both minted the same id with different members.
+   Fixed by latching such a holder's lineage so it requests a round
+   instead of shrinking. *)
+let repro_partial_round_shrink =
+  {|{"schema":"plwg-chaos-repro/1","seed":150466,"mode":"static","profile":"heavy","script":[{"at_us":12900000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":57478,"proc_us":20},{"at_us":19433540,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":190218,"proc_us":20},{"at_us":20743270,"step":"partition","classes":[[0,1,3,4,5],[2]]},{"at_us":24194112,"step":"partition","classes":[[1,5],[0],[2,3,4]]}],"tail":[{"at_us":40000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":40100000,"step":"recover","node":0},{"at_us":40200000,"step":"recover","node":1},{"at_us":40300000,"step":"recover","node":2},{"at_us":40400000,"step":"recover","node":3},{"at_us":40500000,"step":"recover","node":4},{"at_us":40600000,"step":"recover","node":5},{"at_us":40800000,"step":"heal"}]}|}
+
+(* Default profile, seed 21, run 3, found with that latch removed: a
+   round listed node 0 in the merged view, but the view node 0 had
+   contributed was no longer the one it held, so node 0 did not install
+   it.  Nothing asked for another round: the others kept a view listing
+   node 0, node 0 kept its own, and the two mappings never reconciled.
+   The latch has such a holder request rounds until one merges it. *)
+let repro_partial_round_stale_holder =
+  {|{"schema":"plwg-chaos-repro/1","seed":23778,"mode":"dynamic","profile":"default","script":[{"at_us":13601851,"step":"partition","classes":[[5,6],[0,4],[1,2,3]]},{"at_us":13828907,"step":"partition","classes":[[1,2,4,5],[0,3,6]]},{"at_us":15510023,"step":"partition","classes":[[3,4,5],[0,1,2,6]]},{"at_us":19214001,"step":"partition","classes":[[3,4],[0,2],[1,5,6]]},{"at_us":21873276,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":182836,"proc_us":20},{"at_us":22957792,"step":"heal"}],"tail":[{"at_us":30000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":30100000,"step":"recover","node":0},{"at_us":30200000,"step":"recover","node":1},{"at_us":30300000,"step":"recover","node":2},{"at_us":30400000,"step":"recover","node":3},{"at_us":30500000,"step":"recover","node":4},{"at_us":30600000,"step":"recover","node":5},{"at_us":30700000,"step":"recover","node":6},{"at_us":30900000,"step":"heal"}]}|}
+
 let suite =
   [
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
@@ -222,4 +251,9 @@ let suite =
     Alcotest.test_case "heavy seed 118788 converges deterministically" `Slow test_heavy_118788_converges;
     Alcotest.test_case "oracle fails a truncated trace" `Quick test_oracle_fails_truncated_trace;
     Alcotest.test_case "replay: announce storm" `Quick (replay "announce storm" repro_announce_storm);
+    Alcotest.test_case "replay: holders parted after one cut" `Quick (replay "lineage parted" repro_lineage_parted);
+    Alcotest.test_case "replay: shrink beside a partial round" `Quick
+      (replay "partial round shrink" repro_partial_round_shrink);
+    Alcotest.test_case "replay: stale holder after a partial round" `Quick
+      (replay "partial round stale holder" repro_partial_round_stale_holder);
   ]

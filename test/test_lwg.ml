@@ -706,26 +706,18 @@ let test_causal_counters_grow_and_reset () =
   let parts = Stack.wire ~callbacks ~mode:Stack.Static ~n_app (Sim_rt.rt engine) in
   services := parts.Stack.p_services;
   let shipped = Array.make n_app [] (* per sender, newest first *) in
-  let spy_hwg = ref None in
+  (* the spy never answers a merge round: rounds close without it *)
   let spy_callbacks =
     {
       Hwg.no_callbacks with
       Hwg.on_data =
-        (fun carrier ~view_id:_ ~src payload ->
-          match (payload, !spy_hwg) with
-          | Plwg.Messages.L_data { lwg = g; vc; _ }, _ when Gid.equal g group -> shipped.(src) <- vc :: shipped.(src)
-          | Plwg.Messages.L_merge_views, Some hwg ->
-              (* a merge round completes only once every carrier member
-                 contributed: answer as a service holding no LWG views *)
-              Hwg.send hwg carrier (Plwg.Messages.L_all_views { from = spy; views = [] })
-          | _, _ -> ());
+        (fun _ ~view_id:_ ~src payload ->
+          match payload with
+          | Plwg.Messages.L_data { lwg = g; vc; _ } when Gid.equal g group -> shipped.(src) <- vc :: shipped.(src)
+          | _ -> ());
     }
   in
-  let spy_hwg =
-    let hwg = Hwg.create ~transport:parts.Stack.p_transport ~detector:parts.Stack.p_detectors.(spy) spy_callbacks spy in
-    spy_hwg := Some hwg;
-    hwg
-  in
+  let spy_hwg = Hwg.create ~transport:parts.Stack.p_transport ~detector:parts.Stack.p_detectors.(spy) spy_callbacks spy in
   Hwg.join spy_hwg Stack.static_hwg;
   List.iter (fun node -> Service.join ~ordering:Plwg_vsync.Types.Causal !services.(node) group) members;
   Sim_rt.run_span engine (Time.sec 10);

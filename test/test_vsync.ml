@@ -904,6 +904,54 @@ let test_voluntary_leave_stays_quiet () =
   let sent = announces_over engine tap (Time.sec 20) in
   if sent > 16 then Alcotest.failf "%d view announces in 20 s after voluntary leaves > 16" sent
 
+(* A recovered member whose peers all left the group while it was down
+   still holds their view.  Its leave request goes to the smallest
+   member, which no longer holds the group; that node answers as it
+   answers a Stop, and the requester coordinates its own leave. *)
+let test_recovered_member_leaves_alone () =
+  let cluster, _ = make_cluster ~n:4 () in
+  let group = gid 0 in
+  Array.iter (fun hwg -> Hwg.join hwg group) cluster.Cluster.hwgs;
+  Cluster.run cluster (Time.sec 4);
+  Sim_rt.crash cluster.Cluster.engine 3;
+  Cluster.run cluster (Time.sec 4);
+  for node = 0 to 2 do
+    Hwg.leave cluster.Cluster.hwgs.(node) group;
+    Cluster.run cluster (Time.sec 2)
+  done;
+  for node = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "n%d left" node) false (Hwg.is_member cluster.Cluster.hwgs.(node) group)
+  done;
+  Sim_rt.recover cluster.Cluster.engine 3;
+  Alcotest.(check (list int)) "n3 still holds the old view" [ 0; 1; 2; 3 ]
+    (match Hwg.view_of cluster.Cluster.hwgs.(3) group with Some v -> v.View.members | None -> []);
+  Hwg.leave cluster.Cluster.hwgs.(3) group;
+  Cluster.run cluster (Time.sec 10);
+  Alcotest.(check bool) "n3 left" false (Hwg.is_member cluster.Cluster.hwgs.(3) group);
+  check_invariants cluster
+
+(* A coordinator that starts a change sends its Stop to every member
+   first; a message it multicasts before its own Stop comes back
+   follows the Stop on every link and is frozen everywhere, so no
+   member reports it delivered.  Its sender's FLUSHED counts it all the
+   same, and the flush delivers it in the old view. *)
+let test_send_behind_own_stop_delivered () =
+  let cluster, log = make_cluster ~n:3 () in
+  let group = gid 0 in
+  Array.iter (fun hwg -> Hwg.join hwg group) cluster.Cluster.hwgs;
+  Cluster.run cluster (Time.sec 4);
+  let before = Option.get (Hwg.view_of cluster.Cluster.hwgs.(0) group) in
+  Hwg.force_flush cluster.Cluster.hwgs.(0) group;
+  Hwg.send cluster.Cluster.hwgs.(0) group (App 7);
+  Cluster.run cluster (Time.sec 3);
+  let after = Option.get (Hwg.view_of cluster.Cluster.hwgs.(0) group) in
+  Alcotest.(check bool) "the flush installed a new view" false (View_id.equal before.View.id after.View.id);
+  for node = 0 to 2 do
+    Alcotest.(check (list (pair int int))) (Printf.sprintf "n%d delivered it" node) [ (0, 7) ]
+      (received log ~node ~group)
+  done;
+  check_invariants cluster
+
 let suite =
   [
     Alcotest.test_case "steady-state allocation gate" `Quick test_steady_state_alloc_gate;
@@ -945,4 +993,6 @@ let suite =
     Alcotest.test_case "quiet announces: backstop merges lost announces" `Quick test_backstop_merges_lost_announces;
     Alcotest.test_case "quiet announces: voluntary leave stays quiet" `Quick test_voluntary_leave_stays_quiet;
     Alcotest.test_case "quiet announces: former members keep announcing" `Quick test_former_members_keep_announcing;
+    Alcotest.test_case "recovered member leaves after its peers left" `Quick test_recovered_member_leaves_alone;
+    Alcotest.test_case "send behind own stop is delivered" `Quick test_send_behind_own_stop_delivered;
   ]
