@@ -65,10 +65,8 @@ let sweep t =
 [@@zero_alloc_hot]
 
 let tick t =
-  if Rt.is_alive t.rt t.node then begin
-    Plwg_transport.Transport.broadcast_raw t.transport ~src:t.node (Heartbeat { from = t.node });
-    sweep t
-  end
+  Plwg_transport.Transport.broadcast_raw t.transport ~src:t.node (Heartbeat { from = t.node });
+  sweep t
 
 let create transport node =
   let rt = Plwg_transport.Transport.runtime transport in
@@ -93,14 +91,8 @@ let create transport node =
             mark_reachable t src
           end
       | _ -> ());
-  (* stagger first beats so all nodes do not fire on the same instant.
-     One [loop] closure per detector; the loop is never cancelled. *)
-  let stagger = Time.us (node * 137) in
-  let rec loop () =
-    tick t;
-    Rt.at_node_ rt node period loop
-  in
-  Rt.at_node_ rt node stagger loop;
+  (* stagger first beats so all nodes do not fire on the same instant *)
+  Rt.every rt node ~first:(Time.us (node * 137)) ~period (fun () -> tick t);
   t
 
 let node t = t.node

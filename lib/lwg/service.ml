@@ -1484,23 +1484,14 @@ let create ?(config = default_config) ~mode ~transport ~detector ?ns callbacks n
          changing views; the frozen local views must not be used to
          mint successor ids (see [shrink_check]). *)
       Rt.on_recover rt node (fun () -> mark_lineage_rejoined t node);
-      let rec tick_loop () =
-        if Rt.is_alive t.rt node then tick t;
-        Rt.at_node_ t.rt node (Time.ms 150) tick_loop
-      in
-      let rec gossip_loop () =
-        if Rt.is_alive t.rt node then gossip t;
-        Rt.at_node_ t.rt node gossip_period gossip_loop
-      in
-      let rec policy_loop () =
-        if Rt.is_alive t.rt node then run_policies_now t;
-        Rt.at_node_ t.rt node config.policy_period policy_loop
-      in
       let jitter period salt = Time.us (((node * 7919) + salt) mod period) in
-      Rt.at_node_ t.rt node (jitter (Time.ms 150) 13) tick_loop;
-      Rt.at_node_ t.rt node (jitter gossip_period 101) gossip_loop;
+      Rt.every rt node ~first:(jitter (Time.ms 150) 13) ~period:(Time.ms 150) (fun () -> tick t);
+      Rt.every rt node ~first:(jitter gossip_period 101) ~period:gossip_period (fun () -> gossip t);
       (* the first policy run waits one full period: evaluating the
          Figure 1 rules while groups are still forming causes exactly
          the switch cascades the paper's slow period is meant to avoid *)
-      Rt.at_node_ t.rt node (config.policy_period + jitter config.policy_period 977) policy_loop);
+      Rt.every rt node
+        ~first:(config.policy_period + jitter config.policy_period 977)
+        ~period:config.policy_period
+        (fun () -> run_policies_now t));
   t

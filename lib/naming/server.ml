@@ -74,13 +74,7 @@ let create ?(config = default_config) ~transport ~detector ~peers node =
   let endpoint = Transport.endpoint transport node in
   let t = { node; rt; endpoint; detector; config; peers; db = Db.create () } in
   Transport.on_receive endpoint (fun ~src payload -> handle t ~src payload);
-  let rec loop () =
-    if Rt.is_alive rt node then begin
+  Rt.every rt node ~first:(Time.us (node * 211)) ~period:config.gossip_period (fun () ->
       gossip t;
-      notify_conflicts t
-    end;
-    Rt.at_node_ rt node t.config.gossip_period loop
-  in
-  let stagger = Time.us (node * 211) in
-  Rt.at_node_ rt node stagger loop;
+      notify_conflicts t);
   t

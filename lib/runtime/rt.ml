@@ -40,6 +40,17 @@ let trace (Rt ((module B), h)) make = B.trace h make
 let count ?by (Rt ((module B), h)) name = B.count ?by h name
 let observe (Rt ((module B), h)) name v = B.observe h name v
 
+let forever () = true
+
+let every ?(while_ = forever) rt node ~first ~period body =
+  let rec loop () =
+    if while_ () then begin
+      if is_alive rt node then body ();
+      at_node_ rt node period loop
+    end
+  in
+  at_node_ rt node first loop
+
 (* [trace] forces its thunk before recording anything, so a thunk that
    raises escapes exactly when a sink is attached; wrappers that forward
    [trace] (the benchmark's shim) keep the answer. *)

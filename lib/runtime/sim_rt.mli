@@ -8,7 +8,7 @@
     and [lib/runtime] ever names [Engine] (the [runtime-boundary] lint
     checks this).
 
-    Fault injection goes through the validated {!Plwg_sim.Fault} steps,
+    Fault injection goes through the validated {!Plwg_sim.Engine.apply_step},
     so a driver's ad-hoc [crash]/[set_partition] and a chaos campaign's
     scripted schedule take the same (traced) path. *)
 
@@ -21,25 +21,11 @@ val rt : t -> Rt.t
 
 val create : ?obs:Plwg_obs.t -> ?model:Model.t -> seed:int -> n_nodes:int -> unit -> t
 
-(** {1 Runtime surface re-exports} *)
+(** {1 Runtime surface} *)
 
-type cancel = Engine.cancel
+type cancel = Rt.cancel
 
-val now : t -> Time.t
-val n_nodes : t -> int
-val nodes : t -> Node_id.t list
-val is_alive : t -> Node_id.t -> bool
-val rng_node : t -> Node_id.t -> Plwg_util.Rng.t
-val subscribe : t -> Node_id.t -> (src:Node_id.t -> Payload.t -> unit) -> unit
-val send : t -> src:Node_id.t -> dst:Node_id.t -> Payload.t -> unit
-val multicast : t -> src:Node_id.t -> dsts:Node_id.t list -> Payload.t -> unit
-val after_node : t -> Node_id.t -> Time.span -> (unit -> unit) -> cancel
-val after_node_ : t -> Node_id.t -> Time.span -> (unit -> unit) -> unit
-val at_node_ : t -> Node_id.t -> Time.span -> (unit -> unit) -> unit
-val on_recover : t -> Node_id.t -> (unit -> unit) -> unit
-val trace : t -> (unit -> Plwg_obs.Event.t) -> unit
-val count : ?by:int -> t -> string -> unit
-val observe : t -> string -> float -> unit
+include Rt.S with type t := t
 
 (** {1 Sim driver controls} *)
 
@@ -50,8 +36,6 @@ val after : t -> Time.span -> (unit -> unit) -> cancel
 (** Global timer (fault scripts, measurement probes); fires
     unconditionally.  Sim-only: protocol layers must use the node-affine
     timers of {!Rt.S}. *)
-
-val after_ : t -> Time.span -> (unit -> unit) -> unit
 
 val run : t -> until:Time.t -> unit
 val run_span : t -> Time.span -> unit
@@ -64,8 +48,8 @@ val in_flight : t -> int
 
 (** {1 Fault injection}
 
-    Convenience wrappers over {!Plwg_sim.Fault.apply}; each validates
-    the step before applying it. *)
+    Convenience wrappers over {!Plwg_sim.Engine.apply_step}; each
+    validates the step before applying it. *)
 
 val crash : t -> Node_id.t -> unit
 val recover : t -> Node_id.t -> unit

@@ -1,4 +1,4 @@
-type step =
+type step = Engine.step =
   | Crash of Node_id.t
   | Recover of Node_id.t
   | Partition of Node_id.t list list
@@ -17,48 +17,7 @@ let pp_step ppf = function
 
 let step_to_string step = Format.asprintf "%a" pp_step step
 
-let validate_step ~n_nodes = function
-  | Crash node | Recover node ->
-      if node < 0 || node >= n_nodes then Error (Printf.sprintf "node %d out of range [0,%d)" node n_nodes) else Ok ()
-  | Partition classes ->
-      let seen = Array.make n_nodes false in
-      let problem = ref None in
-      List.iter
-        (List.iter (fun node ->
-             if !problem = None then
-               if node < 0 || node >= n_nodes then
-                 problem := Some (Printf.sprintf "partition: node %d out of range [0,%d)" node n_nodes)
-               else if seen.(node) then problem := Some (Printf.sprintf "partition: node %d listed twice" node)
-               else seen.(node) <- true))
-        classes;
-      (match !problem with
-      | None ->
-          Array.iteri (fun node covered -> if (not covered) && !problem = None then
-              problem := Some (Printf.sprintf "partition: node %d not covered" node)) seen
-      | Some _ -> ());
-      (match !problem with None -> Ok () | Some msg -> Error msg)
-  | Heal -> Ok ()
-  | Set_model m ->
-      if m.Model.drop_prob < 0.0 || m.Model.drop_prob > 1.0 then Error "set-model: drop_prob outside [0,1]"
-      else if m.Model.link_base < 0 || m.Model.link_jitter < 0 || m.Model.proc_time < 0 then
-        Error "set-model: negative time parameter"
-      else Ok ()
-
-(* Crash/Recover idempotence lives in [Engine.crash]/[Engine.recover]
-   (transition-only); here we add explicit validation so a malformed
-   step from a generated or deserialized script fails with a script
-   error rather than a topology invariant violation mid-run. *)
-let apply engine step =
-  let n_nodes = Topology.n_nodes (Engine.topology engine) in
-  (match validate_step ~n_nodes step with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Fault.apply: " ^ msg));
-  match step with
-  | Crash node -> Engine.crash engine node
-  | Recover node -> Engine.recover engine node
-  | Partition classes -> Engine.set_partition engine classes
-  | Heal -> Engine.heal engine
-  | Set_model model -> Engine.set_model engine model
+let apply = Engine.apply_step
 
 let install engine script =
   List.iter

@@ -1,23 +1,16 @@
 (** Declarative fault scripts for experiments, tests and chaos
-    campaigns. *)
+    campaigns, over the engine's one fault entry point
+    ({!Engine.apply_step}). *)
 
-type step =
+type step = Engine.step =
   | Crash of Node_id.t
   | Recover of Node_id.t
   | Partition of Node_id.t list list  (** connectivity classes; disjoint and covering the universe *)
   | Heal
   | Set_model of Model.t  (** swap the network cost model (loss burst, latency spike) *)
 
-val validate_step : n_nodes:int -> step -> (unit, string) result
-(** Static validity of a step against a universe of [n_nodes] nodes:
-    node ids in range, partition classes disjoint and covering,
-    model parameters in range.  Liveness is not checked — [Crash] of a
-    crashed node and [Recover] of a live node are valid no-ops. *)
-
 val apply : Engine.t -> step -> unit
-(** Apply one step now.  Idempotent with respect to node state (crash /
-    recover act only on an actual transition); raises [Invalid_argument]
-    if {!validate_step} rejects the step. *)
+(** {!Engine.apply_step}. *)
 
 val install : Engine.t -> (Time.t * step) list -> unit
 (** Schedule each step at its absolute time.  A step scheduled in the

@@ -365,6 +365,35 @@ let test_crash_recover n_domains () =
   Alcotest.check stats_t "stats equal the sim's" sim_stats stats;
   Alcotest.(check int) "in_flight equals the sim's" sim_in_flight in_flight
 
+(* Node 1 runs an [Rt.every] loop and crashes from 1.5 to 3.5 ms; node
+   2 runs one whose stop condition turns false at 3.2 ms and true again
+   at 5.2 ms.  Node timers: one on node 1 due while it is down, one due
+   after it is back, and one on node 2 cancelled before it is due. *)
+let every_script d =
+  let ticks = Array.make 3 [] and fired = ref [] and go = ref true in
+  let tick node () = ticks.(node) <- Rt.now d.rt :: ticks.(node) in
+  Rt.every d.rt 1 ~first:(Time.ms 1) ~period:(Time.ms 1) (tick 1);
+  Rt.every ~while_:(fun () -> !go) d.rt 2 ~first:(Time.ms 1) ~period:(Time.ms 1) (tick 2);
+  Rt.at_node_ d.rt 2 (Time.us 3200) (fun () -> go := false);
+  Rt.at_node_ d.rt 2 (Time.us 5200) (fun () -> go := true);
+  let timer node at label = Rt.after_node d.rt node at (fun () -> fired := label :: !fired) in
+  let (_ : Rt.cancel) = timer 1 (Time.us 2500) "due while down" in
+  let (_ : Rt.cancel) = timer 1 (Time.us 5500) "due after recover" in
+  let cancel = timer 2 (Time.us 3500) "cancelled" in
+  Rt.at_node_ d.rt 2 (Time.ms 3) cancel;
+  d.run (Time.us 1500);
+  d.apply (Fault.Crash 1);
+  d.run (Time.us 3500);
+  d.apply (Fault.Recover 1);
+  d.run (Time.us 6500);
+  (List.rev ticks.(1), List.rev ticks.(2), !fired)
+
+let test_every run () =
+  let up, stopped, fired = every_script (run ~model:Model.lossless ~seed:3 ~n_nodes:3) in
+  Alcotest.(check (list int)) "body skipped while crashed, resumed after recover" (List.map Time.ms [ 1; 4; 5; 6 ]) up;
+  Alcotest.(check (list int)) "no firing once the stop condition is false" (List.map Time.ms [ 1; 2; 3 ]) stopped;
+  Alcotest.(check (list string)) "node timers: skipped while down, cancelled never" [ "due after recover" ] fired
+
 (* A Cluster.wire HWG group of four, split 2/2 and healed. *)
 let hwg_partition_heal d =
   let parts = Cluster.wire d.rt in
@@ -445,4 +474,7 @@ let suite =
     Alcotest.test_case "faulted runs repeat, 2 domains" `Quick (test_faulted_runs_repeat 2);
     Alcotest.test_case "faulted runs repeat, 3 domains" `Quick (test_faulted_runs_repeat 3);
     Alcotest.test_case "tracing probe: sink, no sink, forwarded" `Quick test_tracing_probe;
+    Alcotest.test_case "every and node timers across a crash, sim" `Quick (test_every sim_driver);
+    Alcotest.test_case "every and node timers across a crash, 2 domains" `Quick
+      (test_every (domains_driver ~n_domains:2));
   ]
