@@ -237,6 +237,16 @@ let repro_partial_round_shrink =
 let repro_partial_round_stale_holder =
   {|{"schema":"plwg-chaos-repro/1","seed":23778,"mode":"dynamic","profile":"default","script":[{"at_us":13601851,"step":"partition","classes":[[5,6],[0,4],[1,2,3]]},{"at_us":13828907,"step":"partition","classes":[[1,2,4,5],[0,3,6]]},{"at_us":15510023,"step":"partition","classes":[[3,4,5],[0,1,2,6]]},{"at_us":19214001,"step":"partition","classes":[[3,4],[0,2],[1,5,6]]},{"at_us":21873276,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":182836,"proc_us":20},{"at_us":22957792,"step":"heal"}],"tail":[{"at_us":30000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":30100000,"step":"recover","node":0},{"at_us":30200000,"step":"recover","node":1},{"at_us":30300000,"step":"recover","node":2},{"at_us":30400000,"step":"recover","node":3},{"at_us":30500000,"step":"recover","node":4},{"at_us":30600000,"step":"recover","node":5},{"at_us":30700000,"step":"recover","node":6},{"at_us":30900000,"step":"heal"}]}|}
 
+(* Heavy profile, seed 8, run 6, shrunk to two steps.  At the heal two
+   coordinators flushed the carrier at once: node 0 installed a view
+   listing nodes 3, 4 and 5, but they had accepted node 4's Stop first
+   and ignored it, and node 4 then yielded to node 0.  The three asked
+   node 0 for a change forever; its view already listed them, so
+   nobody flushed again.  A view holder stopped past twice the flush
+   deadline by a change it does not run now asks for a flush. *)
+let repro_yielded_flush =
+  {|{"schema":"plwg-chaos-repro/1","seed":47522,"mode":"dynamic","profile":"heavy","script":[{"at_us":38000000,"step":"partition","classes":[[1,2,4],[0,3,5,6,7]]},{"at_us":39800000,"step":"partition","classes":[[4],[0,1,2,3,5,6,7]]}],"tail":[{"at_us":40000000,"step":"set-model","link_base_us":200,"link_jitter_us":100,"drop_ppm":0,"proc_us":20},{"at_us":40100000,"step":"recover","node":0},{"at_us":40200000,"step":"recover","node":1},{"at_us":40300000,"step":"recover","node":2},{"at_us":40400000,"step":"recover","node":3},{"at_us":40500000,"step":"recover","node":4},{"at_us":40600000,"step":"recover","node":5},{"at_us":40700000,"step":"recover","node":6},{"at_us":40800000,"step":"recover","node":7},{"at_us":41000000,"step":"heal"}]}|}
+
 let suite =
   [
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
@@ -256,4 +266,5 @@ let suite =
       (replay "partial round shrink" repro_partial_round_shrink);
     Alcotest.test_case "replay: stale holder after a partial round" `Quick
       (replay "partial round stale holder" repro_partial_round_stale_holder);
+    Alcotest.test_case "replay: member stuck behind a yielded flush" `Quick (replay "yielded flush" repro_yielded_flush);
   ]
