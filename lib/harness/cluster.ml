@@ -46,20 +46,9 @@ let settle _ = Time.sec 4
 
 let converged t group =
   let topology = Sim_rt.topology t.engine in
-  let nodes = Topology.all_nodes topology in
-  let classes =
-    (* distinct connectivity classes among alive nodes *)
-    List.filter_map
-      (fun node ->
-        if Topology.is_alive topology node then
-          let component = Topology.component_of topology node in
-          if Node_id.equal (List.hd component) node then Some component else None
-        else None)
-      nodes
-  in
   List.for_all
     (fun component ->
-      let with_view =
+      let holders =
         List.filter_map
           (fun node ->
             if Hwg.is_member t.hwgs.(node) group then
@@ -67,14 +56,7 @@ let converged t group =
             else None)
           component
       in
-      match with_view with
-      | [] -> true
-      | (_, first) :: _ ->
-          let expected_members = List.map fst with_view in
-          List.for_all
-            (fun (_, view) -> Plwg_vsync.Types.View_id.equal view.Plwg_vsync.Types.View.id first.Plwg_vsync.Types.View.id)
-            with_view
-          && List.equal Node_id.equal first.Plwg_vsync.Types.View.members expected_members)
-    classes
+      Agreement.holders_agree holders = Agreement.Agreed)
+    (Agreement.components topology ~among:(Topology.all_nodes topology))
 
 let check_vs t = Trace_check.check_sink Trace_check.check_vs t.obs.Plwg_obs.sink

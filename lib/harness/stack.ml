@@ -107,41 +107,20 @@ let create ?obs ?(model = Model.default) ?(seed = 42) ?(config = Service.default
 let run t span = Sim_rt.run_span t.engine span
 
 let lwg_converged t lwg =
-  let topology = Sim_rt.topology t.engine in
-  let classes =
-    List.filter_map
-      (fun node ->
-        if Topology.is_alive topology node then
-          let component = Topology.component_of topology node in
-          let app_component = List.filter (fun n -> List.mem n t.app_nodes) component in
-          match app_component with
-          | first :: _ when Node_id.equal first node -> Some app_component
-          | _ -> None
-        else None)
-      t.app_nodes
-  in
   List.for_all
     (fun component ->
-      let with_view =
+      let holders =
         List.filter_map
-          (fun node ->
-            match Service.view_of t.services.(node) lwg with Some v -> Some (node, v) | None -> None)
+          (fun node -> Option.map (fun v -> (node, v)) (Service.view_of t.services.(node) lwg))
           component
       in
-      match with_view with
+      Agreement.holders_agree holders = Agreement.Agreed
+      &&
+      match holders with
       | [] -> true
-      | (first_node, first) :: _ ->
-          let expected_members = List.map fst with_view in
-          List.for_all
-            (fun (_, v) -> Plwg_vsync.Types.View_id.equal v.Plwg_vsync.Types.View.id first.Plwg_vsync.Types.View.id)
-            with_view
-          && List.equal Node_id.equal first.Plwg_vsync.Types.View.members expected_members
-          && List.for_all
-               (fun (node, _) ->
-                 Option.equal Plwg_vsync.Types.Gid.equal
-                   (Service.mapping_of t.services.(node) lwg)
-                   (Service.mapping_of t.services.(first_node) lwg))
-               with_view)
-    classes
+      | (first, _) :: _ ->
+          let mapping node = Service.mapping_of t.services.(node) lwg in
+          List.for_all (fun (node, _) -> Option.equal Plwg_vsync.Types.Gid.equal (mapping node) (mapping first)) holders)
+    (Agreement.components (Sim_rt.topology t.engine) ~among:t.app_nodes)
 
 let check_vs t = Trace_check.check_sink Trace_check.check_vs t.obs.Plwg_obs.sink
