@@ -168,8 +168,8 @@ let apply t step =
   (match Domain.DLS.get dls_ctx with
   | Some _ -> invalid_arg "Domains_rt.apply: fault steps apply only while the backend is quiescent"
   | None -> ());
-  (match step with Fault.Set_model model -> check_model model | _ -> ());
-  Fault.apply t.doms.(0).exec step
+  (match step with Engine.Set_model model -> check_model model | _ -> ());
+  Engine.apply_step t.doms.(0).exec step
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

@@ -53,10 +53,10 @@ val now : t -> Time.t
 
 val apply : t -> Fault.step -> unit
 (** Apply one fault step to the shared network through
-    {!Plwg_sim.Fault.apply}, the sim's own fault path.  Quiescent only:
-    raises [Invalid_argument] from inside a run, on a step
-    {!Plwg_sim.Fault.validate_step} rejects, and on a model whose
-    [link_base] is not positive. *)
+    {!Plwg_sim.Engine.apply_step}, the sim's own fault path.  Quiescent
+    only: raises [Invalid_argument] from inside a run, on a step
+    [apply_step] rejects, and on a model whose [link_base] is not
+    positive. *)
 
 val run : t -> until:Time.t -> unit
 (** Execute windows up to [until]: the calling domain runs domain 0 and
