@@ -1,15 +1,20 @@
-(** Heartbeat failure / reachability detector.
+(** Failure / reachability detector whose evidence is traffic.
 
-    Every node periodically broadcasts a heartbeat to the whole universe
-    (modelling a LAN multicast) every 100 ms.  A peer is [Reachable]
-    while heartbeats keep arriving and becomes [Unreachable] after
-    350 ms of silence.  Crashes, network partitions and "virtual
-    partitions" caused by congestion all look the same here — exactly
-    the asynchronous-system assumption the paper builds on (Section 4).
+    Any message that arrives from a peer (segment, ack or datagram, as
+    the transport records it) proves the peer alive.  Every 100 ms a
+    node sends one heartbeat datagram to each peer it has sent nothing
+    for a whole period, and none to itself, so a peer that traffic
+    already reaches costs no heartbeat.  A peer is [Reachable] while it
+    was heard within the last 350 ms and becomes [Unreachable] after
+    350 ms of silence; the longest silence a live peer shows is about
+    two periods.  Crashes, network partitions and "virtual partitions"
+    caused by congestion all look the same here — exactly the
+    asynchronous-system assumption the paper builds on (Section 4).
 
-    The detector also performs {e peer discovery}: the first heartbeat
-    from a previously silent node flips it to [Reachable], which is what
-    lets the layers above notice that a partition healed. *)
+    The detector also performs {e peer discovery}: the first message
+    delivered from a peer held [Unreachable] flips it [Reachable] at
+    once, which is what lets the layers above notice that a partition
+    healed. *)
 
 type t
 

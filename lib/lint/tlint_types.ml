@@ -98,10 +98,19 @@ and fold_module_expr f path (me : Typedtree.module_expr) acc =
   | Tmod_constraint (me, _, _, _) -> fold_module_expr f path me acc
   | _ -> acc
 
+(* Whether [fold_module_expr] descends into the module: its items are
+   then walked directly. *)
+let rec is_walked (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_structure _ -> true
+  | Tmod_constraint (me, _, _, _) -> is_walked me
+  | _ -> false
+
 let collect_decls ~unit ~file (str : Typedtree.structure) =
-  let decl ~path (td : Typedtree.type_declaration) =
-    let key = String.concat "." ((unit :: path) @ [ Ident.name td.typ_id ]) in
-    let tdecl = td.typ_type in
+  (* [line], when given, overrides the declaration's own lines: a type
+     brought in by [include M] is reported at the include. *)
+  let decl ?line ~path id (tdecl : Types.type_declaration) =
+    let key = String.concat "." ((unit :: path) @ [ Ident.name id ]) in
     let labels, components =
       match tdecl.type_kind with
       | Types.Type_record (lds, _) ->
@@ -125,11 +134,12 @@ let collect_decls ~unit ~file (str : Typedtree.structure) =
       | Some ty -> SSet.union (heads_of_type ~unit ty) components
       | None -> components
     in
+    let labels = match line with Some l_line -> List.map (fun l -> { l with l_line }) labels | None -> labels in
     {
       d_key = key;
       d_unit = unit;
       d_file = file;
-      d_line = td.typ_loc.Location.loc_start.Lexing.pos_lnum;
+      d_line = (match line with Some line -> line | None -> tdecl.type_loc.Location.loc_start.Lexing.pos_lnum);
       d_components = components;
       d_labels = labels;
     }
@@ -138,7 +148,14 @@ let collect_decls ~unit ~file (str : Typedtree.structure) =
     (fold_items
        (fun ~path item acc ->
          match item.str_desc with
-         | Tstr_type (_, tds) -> List.fold_left (fun acc td -> decl ~path td :: acc) acc tds
+         | Tstr_type (_, tds) ->
+             List.fold_left (fun acc (td : Typedtree.type_declaration) -> decl ~path td.typ_id td.typ_type :: acc) acc tds
+         | Tstr_include incl when not (is_walked incl.incl_mod) ->
+             let line = incl.incl_loc.Location.loc_start.Lexing.pos_lnum in
+             List.fold_left
+               (fun acc (item : Types.signature_item) ->
+                 match item with Sig_type (id, tdecl, _, _) -> decl ~line ~path id tdecl :: acc | _ -> acc)
+               acc incl.incl_type
          | _ -> acc)
        [] str [])
 

@@ -35,6 +35,9 @@ val fold_items :
     modules and [include struct .. end]; functors are opaque. *)
 
 val collect_decls : unit:string -> file:string -> Typedtree.structure -> decl_info list
+(** Every type the unit declares, in the items {!fold_items} walks, plus
+    the types an [include] of any other module brings in, keyed under
+    the including unit and reported at the [include]. *)
 
 val protocol_closure : decl_info list -> SSet.t
 (** Declared types containing a protocol type, by fixpoint from the

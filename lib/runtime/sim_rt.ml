@@ -29,4 +29,3 @@ let crash t node = Engine.apply_step t (Engine.Crash node)
 let recover t node = Engine.apply_step t (Engine.Recover node)
 let set_partition t classes = Engine.apply_step t (Engine.Partition classes)
 let heal t = Engine.apply_step t Engine.Heal
-let set_model t model = Engine.apply_step t (Engine.Set_model model)

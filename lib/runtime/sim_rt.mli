@@ -55,4 +55,3 @@ val crash : t -> Node_id.t -> unit
 val recover : t -> Node_id.t -> unit
 val set_partition : t -> Node_id.t list list -> unit
 val heal : t -> unit
-val set_model : t -> Model.t -> unit

@@ -10,9 +10,5 @@ module Map = Map.Make (Int)
 
 let set_of_list xs = Set.of_list xs
 
-let pp_set ppf set =
-  Format.fprintf ppf "{%a}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") pp)
-    (Set.elements set)
-
 let pp_list ppf xs =
   Format.fprintf ppf "[%a]" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";") pp) xs

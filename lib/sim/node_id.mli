@@ -11,5 +11,4 @@ module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
 val set_of_list : t list -> Set.t
-val pp_set : Format.formatter -> Set.t -> unit
 val pp_list : Format.formatter -> t list -> unit

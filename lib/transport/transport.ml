@@ -94,7 +94,20 @@ type endpoint = {
   mutable in_flight : int; (* total unacked across all out connections *)
   mutable in_flight_peak : int;
   mutable slot_free : slot; (* freelist of released unacked slots *)
+  (* Per-peer liveness evidence, indexed by node id, negative = never:
+     the last arrival of anything from the peer, and the last send of
+     anything to it.  The detector reads both instead of keeping its
+     own heartbeat clock. *)
+  heard : Time.t array;
+  spoke : Time.t array;
 }
+
+(* Every unicast this endpoint puts on the wire to a peer goes through
+   here, so [spoke] sees them all; a [broadcast_raw] does not count. *)
+let emit ep ~dst payload =
+  ep.spoke.(dst) <- Rt.now ep.rt;
+  Rt.send ep.rt ~src:ep.node ~dst payload
+[@@zero_alloc_hot]
 
 let alloc_slot ep ~seq ~body =
   let s = ep.slot_free in
@@ -119,9 +132,19 @@ let release_slot ep s =
   ep.slot_free <- s
 [@@zero_alloc_hot]
 
-type t = { fabric_rt : Rt.t; endpoints : endpoint option array }
+type t = {
+  fabric_rt : Rt.t;
+  endpoints : endpoint option array;
+  others : Node_id.t list array; (* per source: every node but it, for [broadcast_raw] *)
+}
 
-let create rt = { fabric_rt = rt; endpoints = Array.make (Rt.n_nodes rt) None }
+let create rt =
+  let nodes = Rt.nodes rt in
+  {
+    fabric_rt = rt;
+    endpoints = Array.make (Rt.n_nodes rt) None;
+    others = Array.init (Rt.n_nodes rt) (fun src -> List.filter (fun n -> not (Node_id.equal n src)) nodes);
+  }
 
 let runtime t = t.fabric_rt
 
@@ -145,7 +168,7 @@ let ack_delay = Time.ms 5
 
 let fire_ack ep ~dst ic =
   ic.ack_pending <- false;
-  Rt.send ep.rt ~src:ep.node ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
+  emit ep ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
 
 let get_in ep src =
   match ep.ins.(src) with
@@ -243,7 +266,7 @@ let rto_expired ep ~dst oc =
         let s = Deque.get oc.unacked i in
         slot_check s;
         Rt.count ep.rt "transport.retransmits";
-        Rt.send ep.rt ~src:ep.node ~dst (Seg { conn = oc.out_id; seq = s.s_seq; body = s.s_body })
+        emit ep ~dst (Seg { conn = oc.out_id; seq = s.s_seq; body = s.s_body })
       done;
       oc.cur_rto <- min (oc.cur_rto * 2) max_rto;
       arm_timer ep oc
@@ -303,6 +326,7 @@ let on_ack ep ~src ~conn ~next =
 [@@zero_alloc_hot]
 
 let handle ep ~src payload =
+  ep.heard.(src) <- Rt.now ep.rt;
   match payload with
   | Seg { conn; seq; body } -> on_seg ep ~src ~conn ~seq body
   | Ack { conn; next } -> on_ack ep ~src ~conn ~next
@@ -326,6 +350,8 @@ let endpoint t node =
           in_flight = 0;
           in_flight_peak = 0;
           slot_free = slot_nil;
+          heard = Array.make n_nodes (-1);
+          spoke = Array.make n_nodes (-1);
         }
       in
       t.endpoints.(node) <- Some ep;
@@ -368,22 +394,25 @@ let send ep ~dst body =
     Deque.push_back oc.unacked (alloc_slot ep ~seq ~body);
     ep.in_flight <- ep.in_flight + 1;
     if ep.in_flight > ep.in_flight_peak then ep.in_flight_peak <- ep.in_flight;
-    Rt.send ep.rt ~src:ep.node ~dst
+    emit ep ~dst
       ((Seg { conn = oc.out_id; seq; body }) [@alloc_ok "the wire segment itself: the one block a send must build"]);
     if oc.timer == no_timer then arm_timer ep oc
   end
 [@@zero_alloc_hot]
 
-let send_raw ep ~dst payload = Rt.send ep.rt ~src:ep.node ~dst payload
+let send_raw ep ~dst payload = emit ep ~dst payload
 
 let on_receive ep handler =
   ep.handlers <- handler :: ep.handlers;
   ep.handlers_dirty <- true
 
-let broadcast_raw t ~src payload =
-  let nodes = Rt.nodes t.fabric_rt in
-  Rt.multicast t.fabric_rt ~src ~dsts:nodes payload
+let broadcast_raw t ~src payload = Rt.multicast t.fabric_rt ~src ~dsts:t.others.(src) payload
+[@@zero_alloc_hot]
 
 let in_flight ep = ep.in_flight
 
 let in_flight_peak ep = ep.in_flight_peak
+
+let heard_at ep peer = ep.heard.(peer)
+
+let spoke_at ep peer = ep.spoke.(peer)

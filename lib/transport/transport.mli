@@ -41,8 +41,9 @@ val send_raw : endpoint -> dst:Plwg_sim.Node_id.t -> Plwg_sim.Payload.t -> unit
     full-state pushes (anti-entropy gossip, heartbeats). *)
 
 val broadcast_raw : t -> src:Plwg_sim.Node_id.t -> Plwg_sim.Payload.t -> unit
-(** Best-effort datagram to every node of the universe (models LAN/IP
-    multicast).  No retransmission; received through the same handlers. *)
+(** Best-effort datagram to every other node of the universe (models
+    LAN/IP multicast); the sender gets no copy.  No retransmission;
+    received through the same handlers. *)
 
 val in_flight : endpoint -> int
 (** Unacknowledged messages queued at this endpoint.  O(1): a counter
@@ -51,3 +52,14 @@ val in_flight : endpoint -> int
 
 val in_flight_peak : endpoint -> int
 (** High-water mark of {!in_flight} over the endpoint's lifetime. *)
+
+val heard_at : endpoint -> Plwg_sim.Node_id.t -> Plwg_sim.Time.t
+(** When anything (segment, ack or datagram) last arrived here from the
+    peer; negative if nothing has yet.  Any arrival proves the peer
+    alive, so the failure detector reads this instead of counting
+    heartbeats. *)
+
+val spoke_at : endpoint -> Plwg_sim.Node_id.t -> Plwg_sim.Time.t
+(** When this endpoint last sent anything (segment, retransmission, ack
+    or {!send_raw} datagram) to the peer; negative if never.  The
+    detector beats explicitly only to peers this has left silent. *)

@@ -43,20 +43,22 @@ let test_campaign_deterministic () =
    its flush-begin and the view install.  The survivors must restart the
    flush under a new coordinator, the recovered nodes must rejoin, and
    the full oracle — including flush pairing with no open flushes —
-   must pass.  The crash instant (detector timeout after the member
-   crash, plus a fraction of the observed flush span) is asserted
-   against the trace, so a timing drift fails loudly rather than
-   silently degrading the test into a post-flush crash. *)
+   must pass.  The crash instant is found, not hard-coded: a first run
+   of the member-crash prefix alone shows when the coordinator begins
+   its flush, and the sim is deterministic, so the full run repeats
+   that prefix and crashes the coordinator 200 us into the flush.  The
+   trace still confirms the crash landed mid-flush, so a timing drift
+   fails loudly rather than silently degrading the test into a
+   post-flush crash. *)
 let test_coordinator_crash_mid_flush () =
-  let p = Chaos.quick in
-  let crash_us = 9_300_200 in
+  let member_crash_us = 9_000_000 in
   let t0 = 18_000_000 in
-  let schedule =
+  let schedule script =
     {
       Chaos.seed = 42;
       mode = Stack.Static;
-      profile = p;
-      script = [ (at 9_000_000, Fault.Crash 3); (at crash_us, Fault.Crash 0) ];
+      profile = Chaos.quick;
+      script = (at member_crash_us, Fault.Crash 3) :: script;
       tail =
         (at t0, Fault.Set_model Model.default)
         :: List.init 4 (fun node -> (at (t0 + (100_000 * (node + 1))), Fault.Recover node))
@@ -64,7 +66,21 @@ let test_coordinator_crash_mid_flush () =
     }
   in
   let entries = ref [] in
-  let verdict = Chaos.run_schedule ~on_trace:(fun e -> entries := e) schedule in
+  ignore (Chaos.run_schedule ~on_trace:(fun e -> entries := e) (schedule []) : Chaos.verdict);
+  let flush_begin_us =
+    List.find_map
+      (fun { Event.at_us; event } ->
+        match event with
+        | Event.Flush_begin { node = 0; _ } when at_us > member_crash_us -> Some at_us
+        | _ -> None)
+      !entries
+  in
+  let crash_us =
+    match flush_begin_us with
+    | Some us -> us + 200
+    | None -> Alcotest.fail "the member crash opened no flush at the coordinator"
+  in
+  let verdict = Chaos.run_schedule ~on_trace:(fun e -> entries := e) (schedule [ (at crash_us, Fault.Crash 0) ]) in
   Alcotest.(check (list string)) "oracle passes" [] verdict.Chaos.failures;
   let entries = !entries in
   (* The coordinator (node 0) had a flush open when it was crashed. *)

@@ -499,6 +499,18 @@ let typed_shared_cell_quiet () =
       Alcotest.(check string) "via annotation" "annotation" c.c_via;
       Alcotest.(check string) "reason recorded" "fixture registry" c.c_reason
 
+(* A record a unit gets through [include M] is declared in that unit
+   too: its mutable field must reach the report under the unit's own
+   path, at the include. *)
+let typed_included_field_reported () =
+  let source = "module M = struct\n  type r = { mutable hits : int }\nend\n\ninclude M\n" in
+  let cells, _ = Tlint_domain.analyze [ fixture source ] in
+  match List.find_opt (fun (c : Tlint_domain.cell) -> c.c_id = "Fixture.r.hits") cells with
+  | None -> Alcotest.fail "included record's mutable field missing from the report"
+  | Some c ->
+      Alcotest.(check string) "mutable field" "mutable" c.c_mut;
+      Alcotest.(check int) "reported at the include" 5 c.c_line
+
 let domain_report_deterministic () =
   (* regeneration from a fresh typecheck of the same source must be
      byte-identical — the property the @lint-typed staleness check
@@ -574,5 +586,6 @@ let suite =
     Alcotest.test_case "guarded trace thunk is quiet" `Quick typed_trace_thunk_quiet;
     Alcotest.test_case "unannotated shared cell fires" `Quick typed_shared_cell_fires;
     Alcotest.test_case "annotated shared cell is quiet" `Quick typed_shared_cell_quiet;
+    Alcotest.test_case "included record field is reported" `Quick typed_included_field_reported;
     Alcotest.test_case "domain report regeneration is byte-identical" `Quick domain_report_deterministic;
   ]
