@@ -128,15 +128,17 @@ let chaos_cmd =
       (if v.Chaos.failures = [] then "ok" else "FAILED");
     List.iter (fun f -> Printf.printf "         %s\n" f) v.Chaos.failures
   in
-  let replay file metrics_reg on_trace =
+  let replay file metrics_reg on_trace check_determinism =
     let json = Plwg_obs.Json.of_string (In_channel.with_open_text file In_channel.input_all) in
     match Chaos.of_repro_json json with
     | Error msg ->
         Printf.eprintf "chaos: cannot replay %s: %s\n" file msg;
         exit 2
     | Ok schedule ->
-        let verdict = Chaos.run_schedule ?metrics:metrics_reg ?on_trace schedule in
+        let verdict = Chaos.run_schedule ?metrics:metrics_reg ?on_trace ~check_determinism schedule in
         print_verdict verdict;
+        if check_determinism && not (List.exists (String.starts_with ~prefix:"determinism:") verdict.Chaos.failures)
+        then Printf.printf "replay is deterministic (traces byte-identical)\n";
         verdict.Chaos.failures <> []
   in
   let run seed runs profile_name quick do_shrink replay_file out trace metrics check_determinism =
@@ -150,22 +152,7 @@ let chaos_cmd =
     in
     let any_failed =
       match replay_file with
-      | Some file ->
-          let failed = replay file metrics_reg on_trace in
-          if check_determinism then begin
-            let json = Plwg_obs.Json.of_string (In_channel.with_open_text file In_channel.input_all) in
-            match Chaos.of_repro_json json with
-            | Error _ -> failed
-            | Ok schedule -> (
-                match Chaos.check_determinism schedule with
-                | [] ->
-                    Printf.printf "replay is deterministic (traces byte-identical)\n";
-                    failed
-                | diffs ->
-                    List.iter (fun d -> Printf.printf "         %s\n" d) diffs;
-                    true)
-          end
-          else failed
+      | Some file -> replay file metrics_reg on_trace check_determinism
       | None ->
           let profile =
             match Chaos.profile_of_string (if quick then "quick" else profile_name) with

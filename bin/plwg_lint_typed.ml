@@ -18,7 +18,7 @@ open Cmdliner
 
 let roots_arg =
   let doc = "Source roots whose .cmt files to analyze." in
-  Arg.(value & pos_all string [ "lib"; "bin"; "bench" ] & info [] ~docv:"ROOT" ~doc)
+  Arg.(value & pos_all string [ "lib"; "bin"; "bench"; "examples"; "benchmark" ] & info [] ~docv:"ROOT" ~doc)
 
 let baseline_arg =
   let doc = "Baseline file of grandfathered findings (plwg-lint-baseline/1)." in

@@ -99,8 +99,6 @@ let create transport node =
   Rt.every rt node ~first:(Time.us (node * 137)) ~period (fun () -> tick t);
   t
 
-let node t = t.node
-
 let status t peer = if Node_id.equal peer t.node || t.reach.(peer) then Reachable else Unreachable
 
 let reachable_set t = t.with_self

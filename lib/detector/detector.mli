@@ -23,8 +23,6 @@ type status = Reachable | Unreachable
 val create : Plwg_transport.Transport.t -> Plwg_sim.Node_id.t -> t
 (** Create and start the detector for one node. *)
 
-val node : t -> Plwg_sim.Node_id.t
-
 val status : t -> Plwg_sim.Node_id.t -> status
 (** A node is always [Reachable] from itself. *)
 

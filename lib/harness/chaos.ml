@@ -111,8 +111,6 @@ let mode_of_string = function
 
 let n_servers_of_mode = function Stack.Dynamic -> Stack.n_servers | Stack.Direct | Stack.Static -> 0
 
-let n_nodes_of schedule = schedule.profile.n_app + n_servers_of_mode schedule.mode
-
 (* A random partition: assign every node (servers included) to one of
    2-3 classes; empty classes vanish, so the result always satisfies
    the validation in [Fault.apply].  A draw where all nodes land in one class is
@@ -330,7 +328,7 @@ let chaos_lwg i = { Gid.seq = 4_000_000 + i; origin = 0 }
 
 let trace_capacity = 1 lsl 20
 
-let run_schedule ?metrics ?on_trace ?(run = 0) schedule =
+let execute ?metrics ?on_trace ~run schedule =
   let profile = schedule.profile in
   let metrics = match metrics with Some m -> m | None -> Plwg_obs.Metrics.create () in
   let obs = { Plwg_obs.sink = Plwg_obs.Sink.create ~capacity:trace_capacity (); metrics } in
@@ -401,15 +399,20 @@ let diff_traces ~first ~second =
     in
     scan 0 first second
 
-let check_determinism ?run schedule =
-  let capture () =
-    let lines = ref [] in
-    let (_ : verdict) = run_schedule ?run ~on_trace:(fun entries -> lines := trace_lines entries) schedule in
-    !lines
-  in
-  let first = capture () in
-  let second = capture () in
-  diff_traces ~first ~second
+let run_schedule ?metrics ?on_trace ?(check_determinism = false) ?(run = 0) schedule =
+  if not check_determinism then execute ?metrics ?on_trace ~run schedule
+  else begin
+    let first = ref [] and second = ref [] in
+    let verdict =
+      execute ?metrics ~run schedule ~on_trace:(fun entries ->
+          first := trace_lines entries;
+          Option.iter (fun f -> f entries) on_trace)
+    in
+    (* silent replay: fresh metrics so the caller's registry is not
+       double-counted, same [run] so the traces line up *)
+    let (_ : verdict) = execute ~run schedule ~on_trace:(fun entries -> second := trace_lines entries) in
+    { verdict with failures = verdict.failures @ diff_traces ~first:!first ~second:!second }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns                                                           *)
@@ -428,28 +431,7 @@ let campaign ?metrics ?on_trace ?(on_verdict = fun _ -> ()) ?(check_determinism 
   for i = 0 to runs - 1 do
     let mode = mode_rotation.(i mod Array.length mode_rotation) in
     let schedule = generate ~seed:(seed + (7919 * i)) ~mode profile in
-    let captured = ref [] in
-    let on_trace =
-      if not check_determinism then on_trace
-      else
-        Some
-          (fun entries ->
-            captured := trace_lines entries;
-            match on_trace with Some f -> f entries | None -> ())
-    in
-    let verdict = run_schedule ?metrics ?on_trace ~run:i schedule in
-    let verdict =
-      if not check_determinism then verdict
-      else begin
-        (* silent replay: fresh metrics so the campaign's registry is
-           not double-counted, same [run] so the traces line up *)
-        let replay = ref [] in
-        let (_ : verdict) =
-          run_schedule ~on_trace:(fun entries -> replay := trace_lines entries) ~run:i schedule
-        in
-        { verdict with failures = verdict.failures @ diff_traces ~first:!captured ~second:!replay }
-      end
-    in
+    let verdict = run_schedule ?metrics ?on_trace ~check_determinism ~run:i schedule in
     on_verdict verdict;
     verdicts := verdict :: !verdicts
   done;

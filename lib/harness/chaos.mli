@@ -37,11 +37,8 @@ type profile = {
   traffic_period : Time.span;
 }
 
-val quick : profile
-val default : profile
-val heavy : profile
-
 val profile_of_string : string -> (profile, string) result
+(** ["quick"] (the smoke campaign's), ["default"] or ["heavy"]. *)
 
 (* Schedules *)
 
@@ -54,29 +51,30 @@ type schedule = {
 }
 
 val generate : seed:int -> mode:Stack.service_mode -> profile -> schedule
-
-val n_nodes_of : schedule -> int
+  [@@test_support "tests build single schedules; campaigns generate their own"]
 
 val mode_to_string : Stack.service_mode -> string
-val mode_of_string : string -> (Stack.service_mode, string) result
 
 (* Execution *)
 
 type verdict = { run : int; schedule : schedule; failures : string list (** empty = pass *) }
 
 val run_schedule :
-  ?metrics:Plwg_obs.Metrics.t -> ?on_trace:(Plwg_obs.Event.entry list -> unit) -> ?run:int -> schedule -> verdict
+  ?metrics:Plwg_obs.Metrics.t ->
+  ?on_trace:(Plwg_obs.Event.entry list -> unit) ->
+  ?check_determinism:bool ->
+  ?run:int ->
+  schedule ->
+  verdict
 (** Build a fresh stack from the schedule's seed, join [n_lwgs] groups
     on every app node, drive periodic application traffic through the
     fault window, execute the script + tail, wait out the settle span
-    and judge with the oracle.  Deterministic in the schedule. *)
+    and judge with the oracle.  Deterministic in the schedule.  With
+    [~check_determinism:true] the schedule runs a second time, silently
+    (fresh metrics, no [on_trace]), and a divergence of the two
+    serialized traces is a "determinism: ..." failure on the verdict. *)
 
 type report = { runs : int; verdicts : verdict list (** chronological *) }
-
-val check_determinism : ?run:int -> schedule -> string list
-(** Execute [schedule] twice and byte-compare the serialized traces;
-    returns determinism-failure strings (empty = both executions
-    produced identical traces).  Each call is two full runs. *)
 
 val campaign :
   ?metrics:Plwg_obs.Metrics.t ->
@@ -90,19 +88,17 @@ val campaign :
 (** Run [runs] generated schedules, rotating the service mode
     (dynamic, static, direct) across runs.  Run [i] uses seed
     [seed + 7919 * i], so any single run is reproducible on its own.
-    With [~check_determinism:true] every schedule is executed a second
-    time and the two serialized traces are byte-compared; a divergence
-    is reported as a "determinism: ..." failure on that run's verdict
-    (roughly doubling campaign cost). *)
+    [check_determinism] is passed to {!run_schedule} (roughly doubling
+    campaign cost). *)
 
 val failed : report -> verdict list
 
 (* Oracle, exposed for tests *)
 
-val oracle : Stack.t -> lwgs:Gid.t list -> string list
+val oracle : Stack.t -> lwgs:Gid.t list -> string list [@@test_support "tests judge hand-built stacks"]
 (** A settled stack's failures; a truncated trace is one of them. *)
 
-val chaos_lwg : int -> Gid.t
+val chaos_lwg : int -> Gid.t [@@test_support "tests join the runner's groups on hand-built stacks"]
 (** The fixed group ids the runner joins ([chaos_lwg 0 .. n_lwgs-1]). *)
 
 (* Shrinking *)
@@ -114,9 +110,6 @@ val shrink : fails:(schedule -> bool) -> schedule -> schedule
     The cleanup tail is preserved untouched. *)
 
 (* Repro artifacts *)
-
-val repro_schema : string
-(** ["plwg-chaos-repro/1"]. *)
 
 val to_repro_json : schedule -> Plwg_obs.Json.t
 val of_repro_json : Plwg_obs.Json.t -> (schedule, string) result

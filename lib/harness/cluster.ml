@@ -42,8 +42,6 @@ let create ?obs ?(model = Model.default) ?(callbacks = fun _ -> Hwg.no_callbacks
 
 let run t span = Sim_rt.run_span t.engine span
 
-let settle _ = Time.sec 4
-
 let converged t group =
   let topology = Sim_rt.topology t.engine in
   List.for_all
@@ -58,5 +56,3 @@ let converged t group =
       in
       Agreement.holders_agree holders = Agreement.Agreed)
     (Agreement.components topology ~among:(Topology.all_nodes topology))
-
-let check_vs t = Trace_check.check_sink Trace_check.check_vs t.obs.Plwg_obs.sink

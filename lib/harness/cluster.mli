@@ -18,7 +18,7 @@ type parts = {
 val wire :
   ?callbacks:(Node_id.t -> Plwg_vsync.Hwg.callbacks) ->
   Plwg_runtime.Rt.t ->
-  parts
+  parts [@@test_support "tests wire the HWG stack over the domains backend"]
 (** One detector and one HWG service per runtime node. *)
 
 type t = {
@@ -41,14 +41,7 @@ val create :
 val run : t -> Time.span -> unit
 (** Advance simulated time by the given span. *)
 
-val settle : t -> Time.span
-(** A span long enough for detectors and the membership protocol to
-    converge after a disruption (a few detection timeouts). *)
-
-val converged : t -> Plwg_vsync.Types.Gid.t -> bool
+val converged : t -> Plwg_vsync.Types.Gid.t -> bool [@@test_support "HWG tests wait on it"]
 (** True when every alive member of the group reports the same view,
     every view member is a member, and no two concurrent views persist
     among alive nodes in the same connectivity class. *)
-
-val check_vs : t -> string list
-(** {!Trace_check.check_vs} over the cluster's sink. *)

@@ -17,11 +17,10 @@ type outcome = {
   violations : string list;  (** {!Trace_check.check_vs} over the run's trace *)
 }
 
-val run_sim : seed:int -> outcome
-
-val run_domains : seed:int -> n_domains:int -> outcome
+val run_sim : seed:int -> outcome [@@test_support "tests mutate one run to check the diff"]
 
 val diff : oracle:outcome -> candidate:outcome -> string list
+  [@@test_support "tests mutate one run to check the diff"]
 (** Mismatches under the commutativity relation; [[]] means the
     executions are equivalent. *)
 

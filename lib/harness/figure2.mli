@@ -11,7 +11,7 @@ type result = {
   recovery_ms : float;  (** crash to every affected group re-installed at all survivors *)
 }
 
-val run : mode:Stack.service_mode -> n:int -> seed:int -> result
+val run : mode:Stack.service_mode -> n:int -> seed:int -> result [@@test_support "tests run one experiment point"]
 (** One experiment point: [n] groups per set, 8 processes. *)
 
 val print_all : ?ns:int list -> ?seed:int -> unit -> unit

@@ -2,12 +2,6 @@ let mean = function
   | [] -> 0.0
   | samples -> List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples)
 
-(* Nearest-rank percentile, shared with the Plwg_obs histograms.  The
-   previous local implementation truncated the index toward zero and so
-   systematically under-reported the tail (p99 of 10 samples returned
-   the 9th-smallest instead of the maximum). *)
-let percentile = Plwg_obs.Metrics.percentile
-
 let stddev samples =
   match samples with
   | [] | [ _ ] -> 0.0

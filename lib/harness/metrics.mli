@@ -3,11 +3,7 @@
 val mean : float list -> float
 (** 0 on the empty list. *)
 
-val percentile : float -> float list -> float
-(** [percentile 0.95 samples]: nearest-rank percentile (shared with
-    {!Plwg_obs.Metrics.percentile}); 0 on the empty list. *)
-
-val stddev : float list -> float
+val stddev : float list -> float [@@test_support "statistics helper for experiment scripts"]
 
 type series = { label : string; points : (int * float) list }
 

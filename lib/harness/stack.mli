@@ -49,7 +49,7 @@ type t = {
 val n_servers : int
 (** Naming replicas {!create} adds in [Dynamic] mode. *)
 
-val static_hwg : Plwg_vsync.Types.Gid.t
+val static_hwg : Plwg_vsync.Types.Gid.t [@@test_support "tests check the static mode's mapping"]
 (** The designated global HWG used by [Static] mode. *)
 
 val create :

@@ -313,10 +313,17 @@ let check_flush_pairing ?(allow_open = false) entries =
 (* No DATA across a partition                                          *)
 (* ------------------------------------------------------------------ *)
 
-let is_data kind =
-  let n = String.length kind in
-  let rec scan i = i + 7 <= n && (String.equal (String.sub kind i 7) "hw-data" || scan (i + 1)) in
-  scan 0
+(* A substring test that allocates nothing: it runs on every traced
+   delivery the chaos oracle scans. *)
+let data_kind = "hw-data"
+
+let rec data_at kind i j =
+  j = String.length data_kind || (Char.equal kind.[i + j] data_kind.[j] && data_at kind i (j + 1))
+
+let rec data_from kind i =
+  i + String.length data_kind <= String.length kind && (data_at kind i 0 || data_from kind (i + 1))
+
+let is_data kind = data_from kind 0
 
 (* Rebuild the component assignment over time from the Partition/Heal
    events, then flag every application DATA delivery whose endpoints

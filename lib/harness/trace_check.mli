@@ -25,36 +25,18 @@ val n_nodes_of : Event.entry list -> int
 (** The [View_installed] entries of one node and group. *)
 val installs_of : layer:Event.layer -> node:int -> group:string -> Event.entry list -> Event.entry list
 
-(** A node only installs views that contain it. *)
-val check_self_inclusion : Event.entry list -> string list
-
-(** Two installs of one view id agree on its members. *)
-val check_view_agreement : Event.entry list -> string list
-
-(** Per node and group, installed view seqs increase (a [Group_left]
-    starts a new membership). *)
-val check_local_monotonicity : Event.entry list -> string list
-
-(** A node installs a view id once per membership. *)
-val check_view_id_unique_per_change : Event.entry list -> string list
-
-(** Per node and group, each message — (origin, local id) plus the
-    sender's membership, as the number of [Group_left]s it had made
-    when it installed the message's view — is delivered once. *)
-val check_no_duplicate_delivery : Event.entry list -> string list
-
-(** Per node, group and sender membership, local ids increase. *)
-val check_fifo : Event.entry list -> string list
-
-(** Two nodes that install the same view V and then the same successor
-    V' deliver the same messages in V. *)
-val check_virtual_synchrony : Event.entry list -> string list
-
 (** Within each view of a total-order group, deliveries are
     prefix-compatible. *)
 val check_total_order : layer:Event.layer -> group:string -> Event.entry list -> string list
+  [@@test_support "oracle for total-order HWG groups, which tests drive"]
 
-(** The seven group-agnostic checks above. *)
+(** The group-agnostic checks: a node only installs views that contain
+    it; two installs of one view id agree on its members; per node and
+    group, installed view seqs increase (a [Group_left] starts a new
+    membership) and a view id is installed once per membership; each
+    message is delivered once and, per sender membership, in FIFO
+    order; and two nodes that install the same view V and then the
+    same successor V' deliver the same messages in V. *)
 val check_vs : Event.entry list -> string list
 
 (** {1 Protocol traces} *)
@@ -65,15 +47,11 @@ val check_vs : Event.entry list -> string list
 val check_flush_pairing : ?allow_open:bool -> Event.entry list -> string list
 
 (** Whether a [Msg_delivered] kind is application DATA ([hw-data]). *)
-val is_data : string -> bool
+val is_data : string -> bool [@@test_support "tests count DATA deliveries with it"]
 
 (** No application DATA delivery may cross the partition in force at
     the time of delivery. *)
 val check_no_cross_partition_delivery : n_nodes:int -> Event.entry list -> string list
-
-(** The Section-6 reconciliation steps in the order the paper
-    prescribes. *)
-val paper_order : Event.reconcile_step list
 
 (** Reconcile steps in order of first occurrence after the last heal. *)
 val reconcile_sequence : Event.entry list -> Event.reconcile_step list
@@ -81,6 +59,7 @@ val reconcile_sequence : Event.entry list -> Event.reconcile_step list
 (** The steps that occur must first occur in the paper's order (a step
     may be absent). *)
 val check_reconcile_order : Event.entry list -> string list
+  [@@test_support "tests feed it crafted reconcile traces"]
 
 (** {!check_vs}, {!check_flush_pairing}, {!check_no_cross_partition_delivery}
     and {!check_reconcile_order}. *)

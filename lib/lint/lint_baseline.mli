@@ -4,15 +4,12 @@
 
 type entry = { rule : string; file : string; source_line : string; reason : string }
 
-val schema : string
 val entry_of_finding : Lint_rules.finding -> reason:string -> entry
 
 val load : string -> (entry list, string) result
 (** A missing file loads as [Ok []]. *)
 
 val save : string -> entry list -> unit
-val to_json : entry list -> Plwg_obs.Json.t
-val of_json : Plwg_obs.Json.t -> (entry list, string) result
 
 val apply : entry list -> Lint_rules.finding list -> Lint_rules.finding list * entry list
 (** [apply entries findings] is [(unmasked, stale)]: each baseline entry

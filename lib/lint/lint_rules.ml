@@ -17,7 +17,8 @@
    rules need the types outright: [Shared_cell] (the domain-safety
    precondition map for the parallel backend, lib/ only) and
    [Hot_path_alloc] (the compile-time gate on the zero-allocation data
-   plane). *)
+   plane).  A third family keeps the interfaces honest: [Unused_export]
+   reports a lib/ export that nothing outside tests references. *)
 
 type id =
   | Hashtbl_iter_order
@@ -31,6 +32,7 @@ type id =
   | Runtime_boundary
   | Shared_cell
   | Hot_path_alloc
+  | Unused_export
 
 type severity = Warning | Error
 
@@ -56,6 +58,7 @@ let all =
     Runtime_boundary;
     Shared_cell;
     Hot_path_alloc;
+    Unused_export;
   ]
 
 let name = function
@@ -70,6 +73,7 @@ let name = function
   | Runtime_boundary -> "runtime-boundary"
   | Shared_cell -> "shared-cell"
   | Hot_path_alloc -> "hot-path-alloc"
+  | Unused_export -> "unused-export"
 
 let of_name n = List.find_opt (fun rule -> String.equal (name rule) n) all
 
@@ -107,6 +111,9 @@ let describe = function
       "a function marked [@@zero_alloc_hot] must not allocate: no closures, boxed constructors, \
        tuples, records, or string building in its body; hoist the allocation, pool it, or mark \
        an audited cold branch [@alloc_ok \"reason\"]"
+  | Unused_export ->
+      "a value exported by a lib/ interface must be referenced by some other unit outside test/; delete it, \
+       drop it from the .mli, or annotate a test hook or application API [@@test_support \"reason\"]"
 
 let under_lib path = match String.split_on_char '/' path with "lib" :: _ -> true | _ -> false
 

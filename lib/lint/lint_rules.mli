@@ -21,6 +21,9 @@ type id =
   | Hot_path_alloc
       (** allocating construct inside a
           [\@\@zero_alloc_hot] function body *)
+  | Unused_export
+      (** [val] in a lib/ interface that no other unit outside test/
+          references, unless annotated [\@\@test_support "reason"] *)
 
 type severity = Warning | Error
 

@@ -7,6 +7,7 @@
      [@alloc_ok "reason"]        audited cold branch inside a hot body
      [@@shared_cell "reason"]    audited module-global mutable cell
      [@shared_cell "reason"]     same, on a mutable record field
+     [@@test_support "reason"]   export kept for tests or applications
 
    Every name also accepts a [plwg.] prefix ([@@plwg.transition]). *)
 
@@ -36,8 +37,7 @@ let zero_alloc_hot attrs = Option.is_some (find "zero_alloc_hot" attrs)
 let alloc_ok attrs = Option.is_some (find "alloc_ok" attrs)
 
 (* [None]: not annotated.  [Some reason] ([reason] possibly [""]): an
-   audited shared cell. *)
-let shared_cell attrs =
-  match find "shared_cell" attrs with
-  | None -> None
-  | Some attr -> Some (Option.value ~default:"" (payload_string attr))
+   audited shared cell, or an export kept on purpose. *)
+let reason name attrs = Option.map (fun attr -> Option.value ~default:"" (payload_string attr)) (find name attrs)
+let shared_cell = reason "shared_cell"
+let test_support = reason "test_support"

@@ -1,6 +1,6 @@
 (** The lint's attribute vocabulary ([@@transition],
     [@@message_family], [@@zero_alloc_hot], [@alloc_ok],
-    [@@shared_cell]), read from compiler-libs [Parsetree.attributes];
+    [@@shared_cell], [@@test_support]), read from compiler-libs [Parsetree.attributes];
     each name also accepts a [plwg.] prefix. *)
 
 val transition : Parsetree.attributes -> bool
@@ -11,3 +11,7 @@ val alloc_ok : Parsetree.attributes -> bool
 val shared_cell : Parsetree.attributes -> string option
 (** [Some reason] when annotated ([reason] may be empty), [None]
     otherwise. *)
+
+val test_support : Parsetree.attributes -> string option
+(** Like {!shared_cell}, for [[@@test_support "reason"]] on an exported
+    [val]: kept for tests or applications with no in-repo caller. *)

@@ -16,8 +16,6 @@ type cell = {
   c_mutated_in : string list;  (** units with direct mutation evidence *)
 }
 
-val compare_cell : cell -> cell -> int
-
 val analyze :
   Tlint_load.unit_info list ->
   cell list * (string * Lint_rules.id * Location.t * string) list

@@ -1,9 +1,9 @@
 (* The analysis engine: load every cmt under the roots, run the rule
    catalog over the typedtrees (the identifier walk, hot-path
-   allocation, missing interfaces, and the domain-safety ownership
-   analysis of lib/), honor the inline suppression comments, and return
-   findings in the catalog's canonical order plus the domain-safety
-   cell table. *)
+   allocation, missing interfaces, unused exports, and the
+   domain-safety ownership analysis of lib/), honor the inline
+   suppression comments, and return findings in the catalog's
+   canonical order plus the domain-safety cell table. *)
 
 module SMap = Map.Make (String)
 
@@ -14,8 +14,9 @@ type result_bundle = {
   hot_bindings : int;  (* [@@zero_alloc_hot] bindings checked *)
 }
 
-(* Source text is needed for two things the cmt does not carry: the
-   suppression comments, and the finding's [source_line] baseline key.
+(* Source text, of the .ml and of the .mli, is needed for two things
+   the cmt does not carry: the suppression comments, and the finding's
+   [source_line] baseline key.
    A unit whose source file is not present (cmt without source tree)
    still gets findings, just with an empty source line and no
    suppressions.  Only units with raw findings are scanned. *)
@@ -37,7 +38,11 @@ let finding sources file (rule, (loc : Location.t), message) =
 let analyze (units : Tlint_load.unit_info list) =
   let sources =
     List.fold_left
-      (fun acc (u : Tlint_load.unit_info) -> SMap.add u.u_source (lazy (source_of u.u_text)) acc)
+      (fun acc (u : Tlint_load.unit_info) ->
+        let acc = SMap.add u.u_source (lazy (source_of u.u_text)) acc in
+        match u.u_intf with
+        | Some intf -> SMap.add (u.u_source ^ "i") (lazy (source_of intf.i_text)) acc
+        | None -> acc)
       SMap.empty units
   in
   let decls =
@@ -61,7 +66,7 @@ let analyze (units : Tlint_load.unit_info list) =
   let cross_unit =
     List.filter_map
       (fun (file, rule, loc, message) -> finding sources file (rule, loc, message))
-      (Tlint_walk.check ~protocol units @ domain_raw)
+      (Tlint_walk.check ~protocol units @ domain_raw @ Tlint_export.check units)
   in
   let findings = List.sort Lint_rules.compare_finding (per_unit @ cross_unit) in
   let hot_bindings =

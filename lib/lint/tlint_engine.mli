@@ -10,6 +10,7 @@ type result_bundle = {
 }
 
 val analyze : Tlint_load.unit_info list -> result_bundle
+  [@@test_support "tests lint in-process fixtures without cmts"]
 (** Check already-loaded units; message families and protocol types
     are collected across all of them before any unit is checked. *)
 

@@ -9,12 +9,16 @@
    and the interface check); when invoked from the project root
    instead, each root is also scanned under [_build/default/<root>]. *)
 
+type intf = { i_sig : Typedtree.signature; i_text : string }
+
 type unit_info = {
   u_unit : string;  (* short unit name: "Intern", "Engine" *)
+  u_modname : string;  (* compilation unit name: "Plwg_util__Intern" *)
   u_source : string;  (* build-context-relative source: "lib/util/intern.ml" *)
   u_str : Typedtree.structure;
   u_text : string;  (* the source text; "" when the source is absent *)
   u_mli : bool;  (* an interface sits next to the source *)
+  u_intf : intf option;  (* the interface, from the .cmti beside the .cmt *)
 }
 
 let rec cmts_under dir acc =
@@ -30,6 +34,15 @@ let rec cmts_under dir acc =
           else acc)
         acc entries
 
+let read_source file = try In_channel.with_open_bin file In_channel.input_all with Sys_error _ -> ""
+
+(* dune writes [m.cmti] beside [m.cmt] for a module with an interface. *)
+let load_intf path =
+  match Cmt_format.read_cmt (path ^ "i") with
+  | { cmt_annots = Cmt_format.Interface i_sig; cmt_sourcefile = Some mli; _ } ->
+      Some { i_sig; i_text = read_source mli }
+  | _ | (exception _) -> None
+
 let load_unit path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
@@ -42,10 +55,12 @@ let load_unit path =
           Some
             {
               u_unit = Tlint_path.unit_of_modname cmt.cmt_modname;
+              u_modname = cmt.cmt_modname;
               u_source = source;
               u_str = str;
-              u_text = (try In_channel.with_open_bin source In_channel.input_all with Sys_error _ -> "");
+              u_text = read_source source;
               u_mli = Sys.file_exists (source ^ "i");
+              u_intf = load_intf path;
             }
       | _ -> None)
 

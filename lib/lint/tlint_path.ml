@@ -60,3 +60,33 @@ let unit_of_modname modname = shorten modname
 let is_trace_boundary name =
   String.starts_with ~prefix:"Logs." name
   || match List.rev (String.split_on_char '.' name) with ("trace" | "register_printer") :: _ -> true | _ -> false
+
+(* A unit's own module aliases ([module H = Hashtbl], and the local
+   [let module E = Engine in ..]), keyed by the bound ident.  Resolving
+   through them gives [H.iter] the path [Stdlib.Hashtbl.iter] without
+   rebuilding an environment.  Opens need nothing: the typer already
+   resolves [gettimeofday] under [open Unix] to [Unix.gettimeofday]. *)
+let aliases (str : Typedtree.structure) =
+  let acc = ref Ident.Map.empty in
+  let add id (me : Typedtree.module_expr) =
+    match (id, me.mod_desc) with Some id, Tmod_ident (path, _) -> acc := Ident.Map.add id path !acc | _ -> ()
+  in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    add mb.mb_id mb.mb_expr;
+    Tast_iterator.default_iterator.module_binding sub mb
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with Texp_letmodule (id, _, _, me, _) -> add id me | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let iter = { Tast_iterator.default_iterator with module_binding; expr } in
+  iter.structure iter str;
+  !acc
+
+let rec resolve aliases (path : Path.t) : Path.t =
+  match path with
+  | Pident id -> (
+      match Ident.Map.find_opt id aliases with Some target -> resolve aliases target | None -> path)
+  | Pdot (p, s) -> Pdot (resolve aliases p, s)
+  | Papply (f, a) -> Papply (resolve aliases f, resolve aliases a)
+  | Pextra_ty (p, extra) -> Pextra_ty (resolve aliases p, extra)

@@ -210,8 +210,6 @@ let mutable_closure decls =
 let key_is_mutable ~mutable_set key = builtin_mutable key || SSet.mem key mutable_set
 let heads_mutable ~mutable_set heads = SSet.exists (key_is_mutable ~mutable_set) heads
 
-let type_mutable ~mutable_set ~unit ty = heads_mutable ~mutable_set (heads_of_type ~unit ty)
-
 (* ------------------------------------------------------------------ *)
 (* Protocol witness                                                    *)
 (* ------------------------------------------------------------------ *)

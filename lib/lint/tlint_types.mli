@@ -43,8 +43,6 @@ val protocol_closure : decl_info list -> SSet.t
 (** Declared types containing a protocol type, by fixpoint from the
     protocol-module seed (Types.*, Messages.*, Protocol.*, Payload.t). *)
 
-val is_protocol_key : protocol:SSet.t -> string -> bool
-
 val protocol_witness : protocol:SSet.t -> unit:string -> Types.type_expr -> string option
 (** First protocol type key occurring inside the type, if any. *)
 
@@ -54,4 +52,3 @@ val mutable_closure : decl_info list -> SSet.t
     mutable-bearing type. *)
 
 val heads_mutable : mutable_set:SSet.t -> SSet.t -> bool
-val type_mutable : mutable_set:SSet.t -> unit:string -> Types.type_expr -> bool

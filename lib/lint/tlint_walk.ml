@@ -142,44 +142,14 @@ let rec protected_type : Path.t -> bool = function
 let protected_label (label : Types.label_description) =
   match Types.get_desc label.lbl_res with Tconstr (p, _, _) -> protected_type p | _ -> false
 
-(* A unit's own module aliases ([module H = Hashtbl], and the local
-   [let module E = Engine in ..]), keyed by the bound ident.  Resolving
-   through them gives [H.iter] the path [Stdlib.Hashtbl.iter] without
-   rebuilding an environment.  Opens need nothing: the typer already
-   resolves [gettimeofday] under [open Unix] to [Unix.gettimeofday]. *)
-let aliases (str : Typedtree.structure) =
-  let acc = ref Ident.Map.empty in
-  let add id (me : Typedtree.module_expr) =
-    match (id, me.mod_desc) with Some id, Tmod_ident (path, _) -> acc := Ident.Map.add id path !acc | _ -> ()
-  in
-  let module_binding sub (mb : Typedtree.module_binding) =
-    add mb.mb_id mb.mb_expr;
-    Tast_iterator.default_iterator.module_binding sub mb
-  in
-  let expr sub (e : Typedtree.expression) =
-    (match e.exp_desc with Texp_letmodule (id, _, _, me, _) -> add id me | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
-  in
-  let iter = { Tast_iterator.default_iterator with module_binding; expr } in
-  iter.structure iter str;
-  !acc
-
-let rec resolve aliases (path : Path.t) : Path.t =
-  match path with
-  | Pident id -> (
-      match Ident.Map.find_opt id aliases with Some target -> resolve aliases target | None -> path)
-  | Pdot (p, s) -> Pdot (resolve aliases p, s)
-  | Papply (f, a) -> Papply (resolve aliases f, resolve aliases a)
-  | Pextra_ty (p, extra) -> Pextra_ty (resolve aliases p, extra)
-
 (* ------------------------------------------------------------------ *)
 (* The walk                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let check_unit ~families ~protocol (u : Tlint_load.unit_info) =
   let file = u.u_source and str = u.u_str in
-  let aliases = aliases str in
-  let canon path = Tlint_path.canon (resolve aliases path) in
+  let aliases = Tlint_path.aliases str in
+  let canon path = Tlint_path.canon (Tlint_path.resolve aliases path) in
   let acc = ref [] in
   let add rule loc message = acc := (file, rule, loc, message) :: !acc in
   let in_lib = Lint_rules.under_lib file in

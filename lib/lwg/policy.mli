@@ -17,10 +17,12 @@ val default_params : params
     the mapping stays until that drops to 25%. *)
 
 val is_minority : params -> inner:Node_id.Set.t -> outer:Node_id.Set.t -> bool
+  [@@test_support "tests pin the policy predicates"]
 (** Figure 1 "minority": [inner ⊆ outer] and
     [|inner| <= |outer| / k_m].  False when [inner] is not a subset. *)
 
 val close_enough : params -> inner:Node_id.Set.t -> outer:Node_id.Set.t -> bool
+  [@@test_support "tests pin the policy predicates"]
 (** Figure 1 "closeness": [inner ⊆ outer] and
     [|outer| - |inner| <= |outer| / k_c]. *)
 

@@ -121,8 +121,6 @@ type t = {
   mutable merges : int;
 }
 
-let node t = t.node
-let mode t = t.mode
 let hwg_service t = t.hwg
 let switch_count t = t.switches
 let merge_count t = t.merges
@@ -1361,13 +1359,6 @@ let mapping_of t lwg =
   match t.mode with
   | Direct -> Some lwg
   | Static _ | Dynamic -> ( match lstate_of t lwg with Some l -> l.hwg | None -> None)
-
-let lwgs t =
-  match t.mode with
-  | Direct -> Hwg.groups t.hwg
-  | Static _ | Dynamic ->
-      Itbl.fold_sorted (fun _ l acc -> if Option.is_some l.view then l.lwg :: acc else acc) t.lstates []
-      |> List.sort Gid.compare
 
 let enable_state_transfer t callbacks =
   match t.mode with

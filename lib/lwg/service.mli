@@ -59,9 +59,6 @@ val create :
     service) and unused otherwise.
     @raise Invalid_argument if [Dynamic] without [ns]. *)
 
-val node : t -> Node_id.t
-val mode : t -> mode
-
 val fresh_gid : t -> Gid.t
 (** Mint a LWG identifier. *)
 
@@ -85,13 +82,12 @@ val view_of : t -> Gid.t -> View.t option
 val mapping_of : t -> Gid.t -> Gid.t option
 (** The HWG this node currently maps the LWG onto. *)
 
-val lwgs : t -> Gid.t list
 val hwg_service : t -> Plwg_vsync.Hwg.t
 
 val switch_count : t -> int
 (** Switch protocol executions initiated by this node (ablation metric). *)
 
-val merge_count : t -> int
+val merge_count : t -> int [@@test_support "application API: merges this node took part in"]
 (** LWG view merges computed at this node (ablation metric). *)
 
 type state_callbacks = {
@@ -104,6 +100,7 @@ type state_callbacks = {
 }
 
 val enable_state_transfer : t -> state_callbacks -> unit
+  [@@test_support "application API: opt-in state transfer on merge"]
 (** Turn on application state transfer for every LWG of this service:
     when a join completes, the coordinator captures the group state and
     the joiner installs it before delivering any message sent in the new

@@ -68,6 +68,7 @@ val lwgs : t -> Gid.t list
 (** Every LWG the database knows (live entries only). *)
 
 val is_superseded : t -> lwg:Gid.t -> View_id.t -> bool
+  [@@test_support "tests check the tombstones against a model"]
 
 val snapshot : t -> t
 (** An independent copy in O(1), for shipping in a gossip message: the

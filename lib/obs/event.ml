@@ -206,5 +206,3 @@ let of_json json =
     | other -> invalid_arg ("Event.of_json: unknown type " ^ other)
   in
   { at_us; event }
-
-let pp ppf entry = Format.pp_print_string ppf (Json.to_string (to_json entry))

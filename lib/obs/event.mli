@@ -10,9 +10,6 @@ type reconcile_step =
 
 val reconcile_step_to_string : reconcile_step -> string
 
-(** Raises [Invalid_argument] on an unknown step name. *)
-val reconcile_step_of_string : string -> reconcile_step
-
 (** The group layer an install, delivery or leave belongs to: the
     heavy-weight carrier groups or the light-weight groups mapped on
     them.  The two layers draw group ids independently, so the
@@ -57,10 +54,7 @@ type entry = { at_us : int; event : t }
     e.g. "seg" for "seg(c3,#12,hw-data(...))". *)
 val kind_prefix : string -> string
 
-val type_name : t -> string
 val to_json : entry -> Json.t
 
 (** Raises [Invalid_argument] on an unknown event type. *)
 val of_json : Json.t -> entry
-
-val pp : Format.formatter -> entry -> unit

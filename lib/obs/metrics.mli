@@ -17,10 +17,4 @@ val observe : t -> string -> float -> unit
 (** [None] when the histogram is absent or empty. *)
 val summary : t -> string -> summary option
 
-(** All counters, sorted by name. *)
-val counters : t -> (string * int) list
-
-(** All histogram names, sorted. *)
-val histogram_names : t -> string list
-
 val report : Format.formatter -> t -> unit

@@ -25,7 +25,6 @@ let emit t ~at_us event =
   t.buf.(t.emitted mod t.capacity) <- Some { Event.at_us; event };
   t.emitted <- t.emitted + 1
 
-let total t = t.emitted
 let length t = min t.emitted t.capacity
 let dropped t = max 0 (t.emitted - t.capacity)
 

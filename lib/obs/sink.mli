@@ -6,15 +6,10 @@
 
 type t
 
-val default_capacity : int
-
 (** Raises [Invalid_argument] on a non-positive capacity. *)
 val create : ?capacity:int -> unit -> t
 
 val emit : t -> at_us:int -> Event.t -> unit
-
-(** Total entries ever emitted, including overwritten ones. *)
-val total : t -> int
 
 (** Entries currently retained in the ring. *)
 val length : t -> int
@@ -28,7 +23,5 @@ val clear : t -> unit
 val iter : t -> (Event.entry -> unit) -> unit
 
 val to_list : t -> Event.entry list
-val dump_jsonl : t -> out_channel -> unit
 val write_file : t -> string -> unit
-val entries_of_jsonl_string : string -> Event.entry list
 val load_file : string -> Event.entry list

@@ -151,8 +151,6 @@ let create ?obs ?(model = Model.default) ?(n_domains = 2) ~seed ~n_nodes () =
     obs;
   }
 
-let n_domains t = t.n_domains
-
 (* The executor running the calling code: the worker's own from inside
    a handler, domain 0's on the quiescent main domain (every executor's
    clock then reads the end of the last run). *)

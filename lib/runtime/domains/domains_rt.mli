@@ -45,13 +45,12 @@ val create :
 val rt : t -> Plwg_runtime.Rt.t
 (** Pack as a runtime for protocol layers. *)
 
-val n_domains : t -> int
-
 val now : t -> Time.t
 (** Virtual time: the executing domain's clock from inside a handler,
     the end of the last completed run from the main domain. *)
 
 val apply : t -> Fault.step -> unit
+  [@@test_support "application API: the domains backend's fault plane between runs"]
 (** Apply one fault step to the shared network through
     {!Plwg_sim.Engine.apply_step}, the sim's own fault path.  Quiescent
     only: raises [Invalid_argument] from inside a run, on a step

@@ -14,12 +14,9 @@ let rt engine = Rt.Rt ((module Backend), engine)
 
 let create = Engine.create
 let topology = Engine.topology
-let model = Engine.model
 let after = Engine.after
 let run = Engine.run
 let run_span = Engine.run_span
-let run_until_idle = Engine.run_until_idle
-
 type stats = Engine.stats = { sent : int; delivered : int; wire_dropped : int; unreachable_dropped : int }
 
 let stats = Engine.stats

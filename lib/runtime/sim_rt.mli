@@ -30,7 +30,6 @@ include Rt.S with type t := t
 (** {1 Sim driver controls} *)
 
 val topology : t -> Topology.t
-val model : t -> Model.t
 
 val after : t -> Time.span -> (unit -> unit) -> cancel
 (** Global timer (fault scripts, measurement probes); fires
@@ -39,7 +38,6 @@ val after : t -> Time.span -> (unit -> unit) -> cancel
 
 val run : t -> until:Time.t -> unit
 val run_span : t -> Time.span -> unit
-val run_until_idle : ?limit:Time.t -> t -> unit
 
 type stats = Engine.stats = { sent : int; delivered : int; wire_dropped : int; unreachable_dropped : int }
 
@@ -52,6 +50,6 @@ val in_flight : t -> int
     validates the step before applying it. *)
 
 val crash : t -> Node_id.t -> unit
-val recover : t -> Node_id.t -> unit
+val recover : t -> Node_id.t -> unit [@@test_support "fault-injection API: the inverse of crash"]
 val set_partition : t -> Node_id.t list list -> unit
 val heal : t -> unit

@@ -510,11 +510,6 @@ let run t ~until =
 
 let run_span t span = run t ~until:(Time.add t.now span)
 
-let run_until_idle ?(limit = Time.sec 3600) t =
-  (* Like [run], leave [now] at the horizon we simulated up to, so the
-     two drivers agree on what [Engine.now] means afterwards. *)
-  run t ~until:limit
-
 let stats t =
   { sent = t.sent; delivered = t.delivered; wire_dropped = t.wire_dropped; unreachable_dropped = t.unreachable_dropped }
 

@@ -171,11 +171,6 @@ val run : t -> until:Time.t -> unit
 val run_span : t -> Time.span -> unit
 (** [run t ~until:(now t + span)]. *)
 
-val run_until_idle : ?limit:Time.t -> t -> unit
-(** Execute until the queue drains or simulated time would pass [limit]
-    (default 1 hour); afterwards [now] = [limit], mirroring [run].
-    Periodic protocol timers never drain, so most callers want [run]. *)
-
 type stats = { sent : int; delivered : int; wire_dropped : int; unreachable_dropped : int }
 
 val stats : t -> stats

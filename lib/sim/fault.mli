@@ -9,7 +9,7 @@ type step = Engine.step =
   | Heal
   | Set_model of Model.t  (** swap the network cost model (loss burst, latency spike) *)
 
-val apply : Engine.t -> step -> unit
+val apply : Engine.t -> step -> unit [@@test_support "tests apply a step between runs"]
 (** {!Engine.apply_step}. *)
 
 val install : Engine.t -> (Time.t * step) list -> unit

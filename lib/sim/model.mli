@@ -19,7 +19,7 @@ val default : t
 (** 200us +/- 100us links, no loss, 20us per received message — a loaded
     10 Mbps Ethernet LAN in the spirit of the paper's testbed. *)
 
-val lossless : t
+val lossless : t [@@test_support "application API: a loss-free network model"]
 (** Same as [default] but deterministic: no jitter, no loss.  Used by
     protocol unit tests that assert exact delivery orders. *)
 

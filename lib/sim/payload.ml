@@ -12,5 +12,3 @@ let to_string payload =
     | p :: rest -> ( match p payload with Some s -> s | None -> try_all rest)
   in
   try_all !printers
-
-let pp ppf payload = Format.pp_print_string ppf (to_string payload)

@@ -14,5 +14,3 @@ val register_printer : (t -> string option) -> unit
 
 val to_string : t -> string
 (** Falls back to ["<payload>"] when no printer matches. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ let zero = 0
 let us x = x
 let ms x = x * 1_000
 let sec x = x * 1_000_000
-let of_float_sec s = int_of_float (s *. 1e6)
-
 let add t span = t + span
 let diff a b = a - b
 

@@ -16,7 +16,6 @@ val zero : t
 val us : int -> span
 val ms : int -> span
 val sec : int -> span
-val of_float_sec : float -> span
 
 val add : t -> span -> t
 val diff : t -> t -> span

@@ -88,5 +88,3 @@ let component_of t node =
       members;
     members
   end
-
-let generation t = t.generation

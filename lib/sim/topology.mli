@@ -34,6 +34,3 @@ val reachable : t -> Node_id.t -> Node_id.t -> bool
 
 val component_of : t -> Node_id.t -> Node_id.t list
 (** Alive nodes currently reachable from the given node (including it). *)
-
-val generation : t -> int
-(** Counter bumped on every topology change; lets caches invalidate. *)

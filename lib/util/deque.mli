@@ -37,7 +37,7 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 
-val to_list : 'a t -> 'a list
+val to_list : 'a t -> 'a list [@@test_support "tests observe the contents"]
 (** Front-to-back order. *)
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit

@@ -20,11 +20,11 @@ val intern : 'a t -> int -> (int -> 'a) -> 'a
     computing it with [render code] on first sight.  Pass a top-level
     [render] function so the hit path allocates nothing. *)
 
-val find : 'a t -> int -> 'a option
+val find : 'a t -> int -> 'a option [@@test_support "tests observe the table"]
 
-val mem : 'a t -> int -> bool
+val mem : 'a t -> int -> bool [@@test_support "tests observe the table"]
 
-val count : 'a t -> int
+val count : 'a t -> int [@@test_support "tests observe the table"]
 
-val codes : 'a t -> int list
+val codes : 'a t -> int list [@@test_support "tests observe the table"]
 (** Codes in first-interned order (stable across calls). *)

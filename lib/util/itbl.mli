@@ -21,7 +21,7 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
+val length : 'a t -> int [@@test_support "tests observe the table"]
 
 val find : 'a t -> int -> 'a
 (** @raise Not_found on a missing key, allocating nothing on the hit
@@ -31,7 +31,7 @@ val find_opt : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
-val bindings_sorted : 'a t -> (int * 'a) list
+val bindings_sorted : 'a t -> (int * 'a) list [@@test_support "tests observe the table"]
 (** The snapshot as a list (allocates the list). *)
 
 val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit

@@ -23,28 +23,28 @@ val stream : seed:int -> int -> t
     adding a node never perturbs existing streams.  Independent of
     [create ~seed] for the same seed. *)
 
-val copy : t -> t
+val copy : t -> t [@@test_support "application API: replay a stream"]
 (** Clone the current state (the clone replays the same stream). *)
 
-val int64 : t -> int64
+val int64 : t -> int64 [@@test_support "tests pin the raw splitmix64 stream"]
 (** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)
 
-val float : t -> float -> float
+val float : t -> float -> float [@@test_support "application API: uniform float draw"]
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
+val bool : t -> bool [@@test_support "application API: fair coin"]
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val exponential : t -> mean:float -> float
+val exponential : t -> mean:float -> float [@@test_support "application API: exponential draw"]
 (** Exponentially distributed value with the given mean. *)
 
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list.  @raise Invalid_argument on []. *)
 
-val shuffle : t -> 'a list -> 'a list
+val shuffle : t -> 'a list -> 'a list [@@test_support "application API: random permutation"]
 (** Uniform random permutation. *)

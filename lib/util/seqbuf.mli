@@ -8,11 +8,11 @@ type 'a t
 
 val create : unit -> 'a t
 
-val length : 'a t -> int
+val length : 'a t -> int [@@test_support "tests observe the buffer"]
 
 val is_empty : 'a t -> bool
 
-val mem : 'a t -> int -> bool
+val mem : 'a t -> int -> bool [@@test_support "tests observe the buffer"]
 
 val add : 'a t -> int -> 'a -> unit
 (** No-op when the sequence number is already buffered (first arrival
@@ -25,5 +25,5 @@ val remove_min : 'a t -> unit
 
 val clear : 'a t -> unit
 
-val to_list : 'a t -> (int * 'a) list
+val to_list : 'a t -> (int * 'a) list [@@test_support "tests observe the buffer"]
 (** Ascending by sequence number. *)

@@ -37,10 +37,10 @@ val cur : 'a t -> int
 (** Current cursor tick: the tick of the last popped event, or the
     last [limit] the wheel advanced to when a pop came up empty. *)
 
-val length : 'a t -> int
+val length : 'a t -> int [@@test_support "tests observe the wheel"]
 (** Number of scheduled, not-yet-popped, not-cancelled events. *)
 
-val is_empty : 'a t -> bool
+val is_empty : 'a t -> bool [@@test_support "tests observe the wheel"]
 
 val schedule : 'a t -> tick:int -> 'a -> unit
 (** Schedule an event; allocation-free once the pool is warm.  A tick
@@ -64,8 +64,8 @@ val pop_or : 'a t -> limit:int -> none:'a -> 'a
     caller's sentinel) and advance the cursor to [limit] if no event is
     due.  Allocation-free. *)
 
-val pooled : 'a t -> int
+val pooled : 'a t -> int [@@test_support "tests observe the node pool"]
 (** Nodes currently sitting in the freelist. *)
 
-val allocated : 'a t -> int
+val allocated : 'a t -> int [@@test_support "tests observe the node pool"]
 (** Total nodes ever allocated (pool high-water mark plus live). *)

@@ -171,8 +171,6 @@ type t = {
   mutable gid_counter : int;
 }
 
-let node t = t.node
-
 let lookup t group = Plwg_util.Itbl.find_opt t.states (Gid.code group)
 
 (* Hot-path variant: the per-message handlers below match on

@@ -61,8 +61,6 @@ val create :
   Node_id.t ->
   t
 
-val node : t -> Node_id.t
-
 val fresh_gid : t -> Gid.t
 (** Mint a group identifier unique across the whole system. *)
 
@@ -80,7 +78,7 @@ val send : t -> Gid.t -> Payload.t -> unit
     is in progress the message is buffered and sent in the next view.
     @raise Invalid_argument if this node is not a member (nor joining). *)
 
-val stop_ok : t -> Gid.t -> unit
+val stop_ok : t -> Gid.t -> unit [@@test_support "application API: ack a manual-stop flush"]
 (** Acknowledge an [on_stop] upcall; a no-op unless [on_stop] is
     [Some _] and a Stop is pending. *)
 
@@ -96,12 +94,12 @@ val groups : t -> Gid.t list
 
 val am_coordinator : t -> Gid.t -> bool
 
-val store_size : t -> Gid.t -> int
+val store_size : t -> Gid.t -> int [@@test_support "tests observe the message store"]
 (** Messages currently retained for flush-time retransmission in the
     group's view (introspection; exercised by the stability-GC tests).
     O(1): a counter, not a list walk. *)
 
-val frozen_size : t -> Gid.t -> int
+val frozen_size : t -> Gid.t -> int [@@test_support "tests observe the frozen store"]
 (** Messages held back for a later delivery in the group: received out
     of order, during a view change, or ahead of their view's install.
     Only views the node can still install are kept, so once an install

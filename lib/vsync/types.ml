@@ -103,7 +103,6 @@ module View = struct
 
   let members_set t = t.members_set
   let mem node t = Node_id.Set.mem node t.members_set
-  let size t = List.length t.members
 
   (** The acting coordinator of an installed view: its smallest member.
       (The paper says "usually its oldest member"; smallest-id is the

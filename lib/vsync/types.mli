@@ -71,7 +71,6 @@ module View : sig
       allocate nothing. *)
 
   val mem : Node_id.t -> t -> bool
-  val size : t -> int
 
   (** The acting coordinator of an installed view: its smallest member.
       Raises [Invalid_argument] on an empty view. *)

@@ -12,11 +12,12 @@ module Stack = Plwg_harness.Stack
 module Trace_check = Plwg_harness.Trace_check
 
 let at us = Time.add Time.zero (Time.us us)
+let profile name = Result.get_ok (Chaos.profile_of_string name)
 
 (* Same (seed, mode, profile) must regenerate the same schedule, and the
    step count must respect the profile bounds. *)
 let test_generate_deterministic () =
-  let p = Chaos.default in
+  let p = profile "default" in
   let a = Chaos.generate ~seed:5 ~mode:Stack.Dynamic p in
   let b = Chaos.generate ~seed:5 ~mode:Stack.Dynamic p in
   Alcotest.(check bool) "identical schedules" true (Chaos.to_repro_json a = Chaos.to_repro_json b);
@@ -33,8 +34,8 @@ let test_campaign_deterministic () =
       (fun (v : Chaos.verdict) -> (v.Chaos.run, v.Chaos.schedule.Chaos.seed, v.Chaos.failures))
       r.Chaos.verdicts
   in
-  let a = Chaos.campaign ~seed:11 ~runs:6 Chaos.quick in
-  let b = Chaos.campaign ~seed:11 ~runs:6 Chaos.quick in
+  let a = Chaos.campaign ~seed:11 ~runs:6 (profile "quick") in
+  let b = Chaos.campaign ~seed:11 ~runs:6 (profile "quick") in
   Alcotest.(check bool) "same verdicts" true (summarize a = summarize b);
   Alcotest.(check int) "all runs pass" 0 (List.length (Chaos.failed a))
 
@@ -57,7 +58,7 @@ let test_coordinator_crash_mid_flush () =
     {
       Chaos.seed = 42;
       mode = Stack.Static;
-      profile = Chaos.quick;
+      profile = profile "quick";
       script = (at member_crash_us, Fault.Crash 3) :: script;
       tail =
         (at t0, Fault.Set_model Model.default)
@@ -119,7 +120,7 @@ let test_coordinator_crash_mid_flush () =
    Crash 0 matters; the shrinker must strip everything else and keep the
    schedule failing. *)
 let test_shrinker_minimizes () =
-  let base = Chaos.generate ~seed:7 ~mode:Stack.Static Chaos.quick in
+  let base = Chaos.generate ~seed:7 ~mode:Stack.Static (profile "quick") in
   let script =
     [
       (at 9_000_000, Fault.Heal);
@@ -146,7 +147,7 @@ let test_shrinker_minimizes () =
   Alcotest.(check bool) "tail untouched" true (minimized.Chaos.tail = schedule.Chaos.tail)
 
 let test_repro_roundtrip () =
-  let schedule = Chaos.generate ~seed:9 ~mode:Stack.Dynamic Chaos.heavy in
+  let schedule = Chaos.generate ~seed:9 ~mode:Stack.Dynamic (profile "heavy") in
   match Chaos.of_repro_json (Chaos.to_repro_json schedule) with
   | Error e -> Alcotest.fail e
   | Ok back ->
@@ -194,10 +195,11 @@ let repro_loss_burst =
    liveness fix cannot silently regress, and run the schedule twice to
    hold the trace byte-for-byte reproducible. *)
 let test_heavy_118788_converges () =
-  let schedule = Chaos.generate ~seed:118788 ~mode:Stack.Dynamic Chaos.heavy in
-  let verdict = Chaos.run_schedule schedule in
-  Alcotest.(check (list string)) "formerly-failing heavy seed converges" [] verdict.Chaos.failures;
-  Alcotest.(check (list string)) "trace is seed-reproducible" [] (Chaos.check_determinism schedule)
+  let schedule = Chaos.generate ~seed:118788 ~mode:Stack.Dynamic (profile "heavy") in
+  let verdict = Chaos.run_schedule ~check_determinism:true schedule in
+  let diverged, failures = List.partition (String.starts_with ~prefix:"determinism:") verdict.Chaos.failures in
+  Alcotest.(check (list string)) "formerly-failing heavy seed converges" [] failures;
+  Alcotest.(check (list string)) "trace is seed-reproducible" [] diverged
 
 (* A ring that overflowed holds only the end of the run; the oracle
    must fail such a run rather than pass its trace checks on what is

@@ -12,11 +12,11 @@ let test_mean () =
 
 let test_percentile () =
   let samples = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "p50" 50.0 (Metrics.percentile 0.5 samples);
-  Alcotest.(check (float 1e-9)) "p95" 95.0 (Metrics.percentile 0.95 samples);
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Metrics.percentile 0.0 samples);
-  Alcotest.(check (float 1e-9)) "p100" 100.0 (Metrics.percentile 1.0 samples);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Metrics.percentile 0.5 [])
+  Alcotest.(check (float 1e-9)) "p50" 50.0 (Plwg_obs.Metrics.percentile 0.5 samples);
+  Alcotest.(check (float 1e-9)) "p95" 95.0 (Plwg_obs.Metrics.percentile 0.95 samples);
+  Alcotest.(check (float 1e-9)) "p0" 1.0 (Plwg_obs.Metrics.percentile 0.0 samples);
+  Alcotest.(check (float 1e-9)) "p100" 100.0 (Plwg_obs.Metrics.percentile 1.0 samples);
+  Alcotest.(check (float 1e-9)) "empty" 0.0 (Plwg_obs.Metrics.percentile 0.5 [])
 
 let test_stddev () =
   Alcotest.(check (float 1e-9)) "constant" 0.0 (Metrics.stddev [ 5.0; 5.0; 5.0 ]);

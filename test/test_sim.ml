@@ -11,7 +11,6 @@ let make ?(model = Model.lossless) ?(n = 4) ?(seed = 1) () = Sim_rt.create ~mode
 let test_time_units () =
   Alcotest.(check int) "ms" 1_000 (Time.ms 1);
   Alcotest.(check int) "sec" 1_000_000 (Time.sec 1);
-  Alcotest.(check int) "of_float_sec" 1_500_000 (Time.of_float_sec 1.5);
   Alcotest.(check (float 1e-9)) "to ms" 2.5 (Time.to_float_ms 2_500)
 
 let test_timer_ordering () =
@@ -280,10 +279,10 @@ let test_run_until_idle () =
   let engine = make () in
   let fired = ref false in
   let (_ : Sim_rt.cancel) = Sim_rt.after engine (Time.ms 5) (fun () -> fired := true) in
-  Sim_rt.run_until_idle ~limit:(Time.sec 2) engine;
+  Sim_rt.run engine ~until:(Time.sec 2);
   Alcotest.(check bool) "drained" true !fired;
-  (* regression: the clock must land on the horizon, like [run], not on
-     the last event *)
+  (* regression: the clock must land on the horizon, not on the last
+     event *)
   Alcotest.(check int) "now reaches the limit" (Time.sec 2) (Sim_rt.now engine)
 
 let suite =

@@ -36,8 +36,8 @@ let check_converged cluster group msg =
 
 let trace cluster = Trace_check.entries cluster.Cluster.obs.Plwg_obs.sink
 
-let check_invariants cluster =
-  Alcotest.(check (list string)) "trace invariants" [] (Cluster.check_vs cluster)
+let check_vs cluster = Trace_check.check_sink Trace_check.check_vs cluster.Cluster.obs.Plwg_obs.sink
+let check_invariants cluster = Alcotest.(check (list string)) "trace invariants" [] (check_vs cluster)
 
 let test_singleton_view () =
   let cluster, _ = make_cluster ~n:3 () in
@@ -553,7 +553,7 @@ let causal_relay ~ordering ~seed =
     ()
   done;
   Cluster.run cluster (Time.sec 3);
-  let invariants = Cluster.check_vs cluster in
+  let invariants = check_vs cluster in
   (!violations, !pongs, invariants)
 
 let test_causal_never_violates () =
@@ -628,7 +628,7 @@ let stress_once seed =
   done;
   Sim_rt.heal cluster.Cluster.engine;
   Cluster.run cluster (Time.sec 8);
-  let violations = Cluster.check_vs cluster in
+  let violations = check_vs cluster in
   let converged = Cluster.converged cluster group in
   (violations, converged)
 
