@@ -1,20 +1,29 @@
-(** Failure / reachability detector whose evidence is traffic.
+(** Failure / reachability detector whose evidence is traffic, scoped to
+    the peers this node's consumers name.
 
     Any message that arrives from a peer (segment, ack or datagram, as
-    the transport records it) proves the peer alive.  Every 100 ms a
-    node sends one heartbeat datagram to each peer it has sent nothing
-    for a whole period, and none to itself, so a peer that traffic
-    already reaches costs no heartbeat.  A peer is [Reachable] while it
-    was heard within the last 350 ms and becomes [Unreachable] after
-    350 ms of silence; the longest silence a live peer shows is about
-    two periods.  Crashes, network partitions and "virtual partitions"
-    caused by congestion all look the same here — exactly the
-    asynchronous-system assumption the paper builds on (Section 4).
+    the transport records it) proves the peer alive and flips it
+    [Reachable] at once.  Crashes, network partitions and "virtual
+    partitions" caused by congestion all look the same here — exactly
+    the asynchronous-system assumption the paper builds on (Section 4).
 
-    The detector also performs {e peer discovery}: the first message
-    delivered from a peer held [Unreachable] flips it [Reachable] at
-    once, which is what lets the layers above notice that a partition
-    healed. *)
+    Monitoring costs what the groups need.  A peer is {e watched} while
+    a consumer holds a lease on it: {!watch} renews the lease for 1 s,
+    and the HWG service, the naming client and the naming server renew
+    it from loops they already run for the peers they depend on.
+
+    - A watched peer this node sent nothing for a 100 ms round gets a
+      heartbeat that asks for an answer.  It is [Unreachable] once it
+      was silent for 350 ms (and watched for as long).
+    - A node answers an asking heartbeat when it sent the asker nothing
+      for a round, so a peer that does not watch this node back
+      still shows it signs of life, and interest on one side only
+      causes no false suspicion.
+    - Every other peer gets a probe that asks for nothing about every
+      400 ms and is never suspected for going silent.  The probe is
+      {e peer discovery}: it lets two nodes no group connects yet (two
+      lineages that never met, a partition healed between strangers)
+      see each other, and the layers above notice the heal. *)
 
 type t
 
@@ -23,11 +32,15 @@ type status = Reachable | Unreachable
 val create : Plwg_transport.Transport.t -> Plwg_sim.Node_id.t -> t
 (** Create and start the detector for one node. *)
 
-val status : t -> Plwg_sim.Node_id.t -> status
-(** A node is always [Reachable] from itself. *)
+val watch : t -> Plwg_sim.Node_id.t -> unit
+(** Renew this node's interest in the peer: it stays watched for the
+    next second.  Allocation-free, so consumers may call it per peer on
+    every round. *)
 
-val reachable_set : t -> Plwg_sim.Node_id.Set.t
-(** Peers currently believed reachable, including the node itself. *)
+val status : t -> Plwg_sim.Node_id.t -> status
+(** A node is always [Reachable] from itself.  A peer no consumer
+    watches keeps the status it last had: [Reachable] once heard, until
+    a lease makes its silence count. *)
 
 val on_change : t -> (Plwg_sim.Node_id.t -> status -> unit) -> unit
 (** Subscribe to status transitions.  Callbacks run in subscription

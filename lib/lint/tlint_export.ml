@@ -74,13 +74,19 @@ let references ~units ~modtypes (u : Tlint_load.unit_info) =
     Tast_iterator.default_iterator.expr sub e
   in
   let module_expr sub (me : Typedtree.module_expr) =
-    (match me.mod_desc with
-    | Tmod_constraint (inner, mty, _, _) -> use_whole inner (fun () -> names_of ~lookup mty)
+    match me.mod_desc with
     | Tmod_apply (fn, arg, _) ->
+        (* An alias argument arrives constrained to its own module type;
+           it is used at the functor's parameter only. *)
+        let arg = match arg.mod_desc with Tmod_constraint (inner, _, Tmodtype_implicit, _) -> inner | _ -> arg in
         use_whole arg (fun () ->
-            match fn.mod_type with Mty_functor (Named (_, param), _) -> names_of ~lookup param | _ -> [ "*" ])
-    | _ -> ());
-    Tast_iterator.default_iterator.module_expr sub me
+            match fn.mod_type with Mty_functor (Named (_, param), _) -> names_of ~lookup param | _ -> [ "*" ]);
+        sub.Tast_iterator.module_expr sub fn;
+        sub.module_expr sub arg
+    | Tmod_constraint (inner, mty, _, _) ->
+        use_whole inner (fun () -> names_of ~lookup mty);
+        Tast_iterator.default_iterator.module_expr sub me
+    | _ -> Tast_iterator.default_iterator.module_expr sub me
   in
   let structure_item sub (item : Typedtree.structure_item) =
     (match item.str_desc with Tstr_include incl -> use_whole incl.incl_mod (fun () -> [ "*" ]) | _ -> ());

@@ -39,10 +39,15 @@ type t = {
 
 (* Prefer reachable replicas, and never re-hit the server that just
    timed out when another candidate exists: a single slow or silently
-   partitioned replica must not absorb the whole retry budget. *)
+   partitioned replica must not absorb the whole retry budget.  Every
+   attempt renews the detector's interest in the replicas, so a client
+   watches them while it uses them. *)
+let reachable t server =
+  Detector.watch t.detector server;
+  match Detector.status t.detector server with Detector.Reachable -> true | Detector.Unreachable -> false
+
 let pick_server t ~attempt ~last =
-  let reachable = Detector.reachable_set t.detector in
-  let preferred = List.filter (fun s -> Node_id.Set.mem s reachable) t.servers in
+  let preferred = List.filter (reachable t) t.servers in
   let pool = if preferred = [] then t.servers else preferred in
   let pool =
     match last with Some prev when List.length pool > 1 -> List.filter (fun s -> s <> prev) pool | _ -> pool

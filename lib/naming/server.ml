@@ -40,10 +40,13 @@ let notify_conflicts t =
 
 let gossip t =
   Rt.count t.rt "ns.gossip_rounds";
-  let reachable = Detector.reachable_set t.detector in
   List.iter
     (fun peer ->
-      if Node_id.Set.mem peer reachable then
+      (* the replicas watch each other: gossip renews the lease *)
+      Detector.watch t.detector peer;
+      match Detector.status t.detector peer with
+      | Detector.Unreachable -> ()
+      | Detector.Reachable ->
         (* anti-entropy pushes are full snapshots: best-effort datagrams,
            the next round repairs any loss *)
         Transport.send_raw t.endpoint ~dst:peer (Ns_gossip { from = t.node; db = Db.snapshot t.db }))

@@ -515,15 +515,12 @@ let remove_group t g =
    reachable (or self).  Checking that against the detector's O(1)
    status probe skips the set constructions of the full evaluation on
    every quiet tick. *)
+let is_reachable t n =
+  match Detector.status t.detector n with Detector.Reachable -> true | Detector.Unreachable -> false
+
 let rec all_reachable t = function
   | [] -> true
-  | m :: rest ->
-      (Node_id.equal m t.node
-      ||
-      match Detector.status t.detector m with
-      | Detector.Reachable -> true
-      | Detector.Unreachable -> false)
-      && all_reachable t rest
+  | m :: rest -> (Node_id.equal m t.node || is_reachable t m) && all_reachable t rest
 
 let steady_no_change t g =
   match g.view with
@@ -548,13 +545,13 @@ let rec evaluate t g =
   | Joining _ -> ()
   | (Normal | Stopped _) when steady_no_change t g -> ()
   | Normal | Stopped _ ->
-      let reachable = Detector.reachable_set t.detector in
+      let reachable = Node_id.Set.filter (is_reachable t) in
       let current = match g.view with Some v -> View.members_set v | None -> Node_id.Set.empty in
       let candidates =
         Node_id.Set.union current
           (Node_id.Set.union g.joiners (Node_id.Set.union (fresh_foreign t g) g.last_proposal))
       in
-      let desired = Node_id.Set.add t.node (Node_id.Set.inter candidates reachable) in
+      let desired = Node_id.Set.add t.node (reachable candidates) in
       let pending_leaver = not (Node_id.Set.is_empty (Node_id.Set.inter g.leavers desired)) in
       let membership_changed = not (Node_id.Set.equal desired current) in
       if membership_changed || pending_leaver || g.want_flush then begin
@@ -564,7 +561,7 @@ let rec evaluate t g =
            self-electing would livelock the real coordinator's change
            with ever-higher epochs. *)
         let pool =
-          Node_id.Set.diff (Node_id.Set.inter (Node_id.Set.union current (fresh_foreign t g)) reachable) g.non_holders
+          Node_id.Set.diff (reachable (Node_id.Set.union current (fresh_foreign t g))) g.non_holders
         in
         if Option.is_none g.view then begin
           let others = Node_id.Set.remove t.node pool in
@@ -643,9 +640,10 @@ and on_deadline t g epoch =
       (* restart without the silent members (keep self and responders) *)
       cancel_change t g change ~outcome:"timeout";
       let responders = Node_id.Map.fold (fun n _ acc -> Node_id.Set.add n acc) change.ch_flushed Node_id.Set.empty in
-      let reachable = Detector.reachable_set t.detector in
       (* drop stale hints about nodes that did not respond *)
-      let silent = Node_id.Set.diff change.ch_proposal (Node_id.Set.union responders reachable) in
+      let silent =
+        Node_id.Set.filter (fun n -> not (is_reachable t n)) (Node_id.Set.diff change.ch_proposal responders)
+      in
       g.joiners <- Node_id.Set.diff g.joiners silent;
       g.foreign <- List.filter (fun (_, n) -> not (Node_id.Set.mem n silent)) g.foreign;
       g.last_proposal <- Node_id.Set.diff g.last_proposal silent;
@@ -1115,7 +1113,38 @@ let announce t g =
       else if coordinator then Rt.count t.rt "hwg.announces_quiet"
   | _, _ -> ()
 
+(* The detector watches at full rate only the peers some group here may
+   need to hear from: members of the held view, joiners, fresh foreign
+   sightings, the last accepted proposal, and former members until they
+   are back in a view.  Each tick renews them, allocation-free. *)
+let rec watch_list detector = function
+  | [] -> ()
+  | n :: rest ->
+      Detector.watch detector n;
+      watch_list detector rest
+
+let rec watch_fresh detector now = function
+  | [] -> ()
+  | (seen, n) :: rest ->
+      if Time.diff now seen <= foreign_ttl then Detector.watch detector n;
+      watch_fresh detector now rest
+
+let watch_into n detector =
+  Detector.watch detector n;
+  detector
+
+let watch_peers t g =
+  let d = t.detector in
+  (match g.view with Some v -> watch_list d v.View.members | None -> ());
+  watch_fresh d (Rt.now t.rt) g.foreign;
+  let d = Node_id.Set.fold watch_into g.joiners d in
+  let d = Node_id.Set.fold watch_into g.last_proposal d in
+  let (_ : Detector.t) = Node_id.Set.fold watch_into g.former d in
+  ()
+[@@zero_alloc_hot]
+
 let tick t g =
+  watch_peers t g;
   match g.status with
   | Joining since ->
       if Time.diff (Rt.now t.rt) since.started > join_timeout then install_singleton t g

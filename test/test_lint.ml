@@ -572,6 +572,16 @@ let unused_export_coercion () =
   Alcotest.(check (list string)) "unused is not in S" [ "Fixture.unused" ]
     (flagged (export_findings "module type S = sig val used : int -> int end\nmodule M : S = Fixture"))
 
+(* The argument is an alias, as a library's units are: the typedtree
+   wraps it in a constraint to its own module type. *)
+let unused_export_functor_argument () =
+  Alcotest.(check (list string)) "unused is not in the parameter" [ "Fixture.unused" ]
+    (flagged
+       (export_findings
+          "module F (X : sig val used : int -> int end) = struct let y = X.used 1 end\n\
+           module A = Fixture\n\
+           module M = F (A)"))
+
 let unused_export_include_quiet () =
   Alcotest.(check (list string)) "include uses every value" [] (flagged (export_findings "include Fixture"))
 
@@ -658,4 +668,5 @@ let suite =
     Alcotest.test_case "[@@test_support] export is quiet" `Quick unused_export_test_support_quiet;
     Alcotest.test_case "empty [@@test_support] reason fires" `Quick unused_export_empty_reason_fires;
     Alcotest.test_case "[@@test_support] on a used export fires" `Quick unused_export_stale_annotation_fires;
+    Alcotest.test_case "functor argument uses the parameter's values" `Quick unused_export_functor_argument;
   ]
