@@ -208,9 +208,9 @@ let test_unwatched_probed () =
   Sim_rt.run engine ~until:warmup;
   let flips = count_transitions detectors.(2) in
   Sim_rt.run engine ~until:(Time.sec 5);
-  let rec gaps = function a :: (b :: _ as rest) -> Time.diff a b :: gaps rest | [ _ ] | [] -> [] in
-  let gaps = gaps !probes in
-  Alcotest.(check bool) "a probe every period" true (List.length !probes >= 12);
+  let rec between = function a :: (b :: _ as rest) -> Time.diff a b :: between rest | [ _ ] | [] -> [] in
+  let gaps = between !probes in
+  Alcotest.(check bool) "a probe every probe period" true (List.length !probes >= 12);
   Alcotest.(check bool) "no two probes within a probe period" true (List.for_all (fun gap -> gap >= Time.ms 400) gaps);
   Alcotest.(check int) "none asks for an answer" 0 (List.length !asked);
   Alcotest.(check bool) "discovered" true (Detector.status detectors.(1) 0 = Detector.Reachable);
@@ -276,8 +276,7 @@ let test_lapsed_lease_stops_beats () =
   Sim_rt.run engine ~until:stop;
   Alcotest.(check bool) "full rate while watched" true (List.length !asked >= 18);
   (* the last renewal, at 1.95 s, holds until 2.95 s *)
-  let lapsed = Time.ms 3000 in
-  Sim_rt.run engine ~until:lapsed;
+  Sim_rt.run engine ~until:(Time.ms 3000);
   asked := [];
   beats := [];
   Sim_rt.run engine ~until:(Time.sec 6);
