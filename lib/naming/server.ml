@@ -47,9 +47,9 @@ let gossip t =
       match Detector.status t.detector peer with
       | Detector.Unreachable -> ()
       | Detector.Reachable ->
-        (* anti-entropy pushes are full snapshots: best-effort datagrams,
-           the next round repairs any loss *)
-        Transport.send_raw t.endpoint ~dst:peer (Ns_gossip { from = t.node; db = Db.snapshot t.db }))
+          (* anti-entropy pushes are full snapshots: best-effort datagrams,
+             the next round repairs any loss *)
+          Transport.send_raw t.endpoint ~dst:peer (Ns_gossip { from = t.node; db = Db.snapshot t.db }))
     t.peers
 
 let handle t ~src payload =

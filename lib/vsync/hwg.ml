@@ -508,6 +508,9 @@ let remove_group t g =
 (* The functions below are mutually recursive: evaluation can initiate
    a change, whose local Stop loops back into the handler, etc. *)
 
+let is_reachable t n =
+  match Detector.status t.detector n with Detector.Reachable -> true | Detector.Unreachable -> false
+
 (* Steady-state fast path for [evaluate]: with no pending joiners,
    leavers, foreign sightings, proposal residue or flush request,
    [desired] below reduces to [{self} union (current inter reachable)],
@@ -515,9 +518,6 @@ let remove_group t g =
    reachable (or self).  Checking that against the detector's O(1)
    status probe skips the set constructions of the full evaluation on
    every quiet tick. *)
-let is_reachable t n =
-  match Detector.status t.detector n with Detector.Reachable -> true | Detector.Unreachable -> false
-
 let rec all_reachable t = function
   | [] -> true
   | m :: rest -> (Node_id.equal m t.node || is_reachable t m) && all_reachable t rest
